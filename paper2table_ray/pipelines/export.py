@@ -48,6 +48,10 @@ def _fragment_frames(tf: dict) -> List[pd.DataFrame]:
     return frames
 
 
+_CSV_LONG_COLUMNS = ["doc_id", "source_uuid", "table_idx", "csv_row", "column", "value"]
+_HTML_PIECE_COLUMNS = ["doc_id", "html"]
+
+
 def cells_to_csv_tables_ds(cells: ray.data.Dataset) -> ray.data.Dataset:
     """Distributed flatten: cells → long rows
     (doc_id, table_idx, csv_row_idx, column, value) ready for per-table
@@ -57,9 +61,7 @@ def cells_to_csv_tables_ds(cells: ray.data.Dataset) -> ray.data.Dataset:
     def per_doc(group: pa.Table) -> pd.DataFrame:
         records = table_to_row_records(group)
         if not records:
-            return pd.DataFrame(
-                columns=["doc_id", "source_uuid", "table_idx", "csv_row", "column", "value"]
-            )
+            return pd.DataFrame(columns=_CSV_LONG_COLUMNS)
         doc_id = records[0]["doc_id"]
         out = []
         for uuid, tf in records_to_tablesfiles(records).items():
@@ -105,8 +107,12 @@ def cells_to_csv_tables_ds(cells: ray.data.Dataset) -> ray.data.Dataset:
 
 def cells_to_csv_tables(cells: ray.data.Dataset) -> pd.DataFrame:
     """Driver-frame wrapper over :func:`cells_to_csv_tables_ds` (used by
-    the per-table CSV assembly, which pivots on the driver)."""
-    return cells_to_csv_tables_ds(cells).to_pandas()
+    the per-table CSV assembly, which pivots on the driver). An empty
+    corpus gives an empty frame that still has the long-row columns (the
+    exchange drops them for empty shards)."""
+    return cells_to_csv_tables_ds(cells).to_pandas().reindex(
+        columns=_CSV_LONG_COLUMNS
+    )
 
 
 def write_csvs(cells: ray.data.Dataset, output_dir: str) -> List[str]:
@@ -141,7 +147,7 @@ def cells_to_html(cells: ray.data.Dataset, title: str = "tables") -> str:
     def per_doc(group: pa.Table) -> pd.DataFrame:
         records = table_to_row_records(group)
         if not records:
-            return pd.DataFrame(columns=["doc_id", "html"])
+            return pd.DataFrame(columns=_HTML_PIECE_COLUMNS)
         doc_id = records[0]["doc_id"]
         parts = [f"<h2>{html_lib.escape(doc_id)}</h2>"]
         for uuid, tf in records_to_tablesfiles(records).items():
@@ -173,7 +179,12 @@ def cells_to_html(cells: ray.data.Dataset, title: str = "tables") -> str:
 
     from ..stages.shuffle import groupby_apply
 
-    pieces = groupby_apply(cells, "doc_id", per_doc).to_pandas().sort_values("doc_id")
+    pieces = (
+        groupby_apply(cells, "doc_id", per_doc)
+        .to_pandas()
+        .reindex(columns=_HTML_PIECE_COLUMNS)
+        .sort_values("doc_id")
+    )
     body = "".join(pieces["html"])
     return (
         f"<!doctype html><html><head><meta charset='utf-8'>"

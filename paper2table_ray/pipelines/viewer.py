@@ -437,6 +437,7 @@ def cells_to_viewer_html(
     pieces = (
         _render_pieces(cells, uuid_to_reader)
         .to_pandas()
+        .reindex(columns=_PIECE_COLUMNS)
         .sort_values(["doc_id", "name"])
         .reset_index(drop=True)
     )
@@ -459,6 +460,9 @@ def cells_to_viewer_html(
     )
 
 
+_PIECE_COLUMNS = ["doc_id", "name", "html", "toc_json"]
+
+
 def _render_pieces(cells: ray.data.Dataset, uuid_to_reader: Optional[dict]):
     """cells → Dataset[doc_id, name, html, toc_json]: one pre-rendered
     section per (doc, source), produced inside the doc groupby."""
@@ -467,7 +471,7 @@ def _render_pieces(cells: ray.data.Dataset, uuid_to_reader: Optional[dict]):
     def per_doc(group: pa.Table) -> pd.DataFrame:
         records = table_to_row_records(group)
         if not records:
-            return pd.DataFrame(columns=["doc_id", "html", "toc_json"])
+            return pd.DataFrame(columns=_PIECE_COLUMNS)
         doc_id = records[0]["doc_id"]
         import json as _json
 

@@ -413,7 +413,12 @@ def write_resultset(
 
     from ..stages.shuffle import groupby_apply
 
-    return groupby_apply(cells, "doc_id", write_doc).to_pandas()
+    # reindex: an empty corpus collects to a frame with no columns
+    return (
+        groupby_apply(cells, "doc_id", write_doc)
+        .to_pandas()
+        .reindex(columns=["doc_id", "status"])
+    )
 
 
 # --- split-pages combination helpers (S7 pure core) -------------------------

@@ -355,6 +355,7 @@ def collect_unique_columns(cells: ray.data.Dataset) -> Dict[str, str]:
     Distributed as per-batch partial dicts folded on the driver in
     deterministic (doc, source, table, fragment) order — the dict is tiny
     (distinct column names), the scan streams."""
+    probe_columns = ["sort_key", "column", "inferred"]
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         recs = table_to_row_records(batch)
@@ -380,9 +381,14 @@ def collect_unique_columns(cells: ray.data.Dataset) -> Dict[str, str]:
                             "inferred": infer_type(val),
                         }
                     )
-        return pd.DataFrame(out, columns=["sort_key", "column", "inferred"])
+        return pd.DataFrame(out, columns=probe_columns)
 
-    df = cells.map_batches(partial, batch_format="pyarrow").to_pandas()
+    # reindex: an empty corpus collects to a frame with no columns
+    df = (
+        cells.map_batches(partial, batch_format="pyarrow")
+        .to_pandas()
+        .reindex(columns=probe_columns)
+    )
     columns: Dict[str, str] = {}
     for _, row in df.sort_values("sort_key").iterrows():
         if row["column"] not in columns:

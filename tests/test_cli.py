@@ -3,12 +3,14 @@
 import glob
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from paper2table_ray.cli import main
 
-REF = sorted(glob.glob("/root/reference/tests/data/demo_resultsets/*/"))
+REF_DIR = Path("/root/reference/tests/data/demo_resultsets")
+REF = sorted(glob.glob(f"{REF_DIR}/*/"))
 
 
 def test_usage():
@@ -18,6 +20,9 @@ def test_usage():
 
 @pytest.mark.usefixtures("ray_session")
 class TestCliFlows:
+    @pytest.mark.skipif(
+        not REF_DIR.exists(), reason="reference checkout unavailable"
+    )
     def test_merge_stats_csv_html_validate(self, tmp_path, capsys):
         merged = tmp_path / "merged"
         assert main(["tablemerge", *REF, "-o", str(merged)]) == 0
@@ -40,6 +45,20 @@ class TestCliFlows:
 
         assert main(["tablevalidate", f"{out_dir}/*.tables.json", "--all"]) == 0
         assert main(["tablevalidate", f"{out_dir}/tables.metadata.json"]) == 0
+
+    def test_merge_then_csv_on_empty_resultset(self, tmp_path, capsys):
+        # a resultset directory with no .tables.json files merges to an
+        # empty resultset, and table2csv over that writes no CSVs
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        merged = tmp_path / "merged"
+        assert main(["tablemerge", str(empty), "-o", str(merged)]) == 0
+        assert "doc_id" in capsys.readouterr().out
+        out_dir = str(next(merged.iterdir()))
+
+        csv_dir = tmp_path / "csvs"
+        assert main(["table2csv", out_dir, "-o", str(csv_dir)]) == 0
+        assert os.listdir(csv_dir) == []
 
     def test_extract_resume_roundtrip(self, tmp_path):
         import ray.data

@@ -9,13 +9,18 @@ pins against the reference's actual schema document instead.)
 
 import glob
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from paper2table_ray.cli import main
 
-REF_SCHEMA = json.load(open("/root/reference/tablesfile.schema.json"))
+REF_SCHEMA_PATH = Path("/root/reference/tablesfile.schema.json")
+pytestmark = pytest.mark.skipif(
+    not REF_SCHEMA_PATH.exists(), reason="reference checkout unavailable"
+)
+REF_SCHEMA = json.load(open(REF_SCHEMA_PATH)) if REF_SCHEMA_PATH.exists() else None
 REF_RESULTSETS = sorted(glob.glob("/root/reference/tests/data/demo_resultsets/*/"))
 
 

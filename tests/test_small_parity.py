@@ -1,6 +1,8 @@
 """Parity ports of the reference's small utility suites: page_range (7),
 normalize_column_name (6), parse_column_names_hints (6), gnparser (9)."""
 
+from pathlib import Path
+
 import pytest
 
 from paper2table_ray.functions.scientific import scientific_name
@@ -260,17 +262,21 @@ def test_metadata_reader_agent_with_none_model():
     assert make_metadata(reader="agent", model=None)["reader"] is None
 
 
+REF_DEMO_FILE = Path(
+    "/root/reference/tests/data/demo_resultsets/"
+    "39c01438-4af8-4f2a-ac5d-278b9653f565/extended_overview.tables.json"
+)
+
+
+@pytest.mark.skipif(
+    not REF_DEMO_FILE.exists(), reason="reference checkout unavailable"
+)
 def test_can_validate_reference_demo_file():
     import json as _json
 
     from paper2table_ray.sources.tablesfile_json import validate_tablesfile_obj
 
-    obj = _json.load(
-        open(
-            "/root/reference/tests/data/demo_resultsets/"
-            "39c01438-4af8-4f2a-ac5d-278b9653f565/extended_overview.tables.json"
-        )
-    )
+    obj = _json.load(open(REF_DEMO_FILE))
     assert validate_tablesfile_obj(obj) == []
 
 

@@ -5,6 +5,7 @@ the reference's own demo resultsets parse losslessly."""
 import glob
 import json
 import os
+from pathlib import Path
 
 import pandas as pd
 import pytest
@@ -24,6 +25,9 @@ from paper2table_ray.sources.tablesfile_json import (
 from paper2table_ray.state.settings import MergeSettings
 
 REF_RESULTSETS = "/root/reference/tests/data/demo_resultsets"
+needs_reference = pytest.mark.skipif(
+    not Path(REF_RESULTSETS).exists(), reason="reference checkout unavailable"
+)
 SF = "/root/testdata/sf0.001"
 
 
@@ -113,6 +117,7 @@ class TestParseValidate:
         out = tablesfile_to_json_obj(parse_tablesfile(obj))
         assert out == obj
 
+    @needs_reference
     def test_reference_demo_resultsets_parse(self):
         paths = glob.glob(f"{REF_RESULTSETS}/*/*.tables.json")
         assert len(paths) >= 10
@@ -130,6 +135,7 @@ class TestParseValidate:
 
 @pytest.mark.usefixtures("ray_session")
 class TestRayReadWrite:
+    @needs_reference
     def test_reference_resultsets_to_cells(self):
         dirs = sorted(glob.glob(f"{REF_RESULTSETS}/*/"))
         cells = read_resultsets(dirs)
@@ -184,6 +190,7 @@ class TestRayReadWrite:
 
 @pytest.mark.usefixtures("ray_session")
 class TestExportSinks:
+    @needs_reference
     def test_csv_sink(self, tmp_path):
         dirs = sorted(glob.glob(f"{REF_RESULTSETS}/*/"))[:1]
         cells = read_resultsets(dirs)
@@ -192,6 +199,7 @@ class TestExportSinks:
         df = pd.read_csv(paths[0])
         assert "$page" in df.columns and len(df) > 0
 
+    @needs_reference
     def test_html_sink(self):
         dirs = sorted(glob.glob(f"{REF_RESULTSETS}/*/"))[:1]
         html = cells_to_html(read_resultsets(dirs))

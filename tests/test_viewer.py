@@ -2,6 +2,8 @@
 reference viewer: TOC anchors, meta columns, rowspan merging, agreement
 classes, empty-row skip counts, sources table, scroll-spy shell."""
 
+from pathlib import Path
+
 import pytest
 
 import ray.data
@@ -17,6 +19,8 @@ from paper2table_ray.pipelines.viewer import (
     reader_emoji,
     render_citation,
 )
+
+REF_DIR = Path("/root/reference/tests/data/demo_resultsets")
 
 
 def R(_level=None, _sources=None, _row=None, **cells):
@@ -161,6 +165,9 @@ class TestDistributedViewer:
             assert f"<h3>{d}</h3>" in html
         assert '<nav id="toc">' in html
 
+    @pytest.mark.skipif(
+        not REF_DIR.exists(), reason="reference checkout unavailable"
+    )
     def test_write_viewer_html_streaming_sink_matches_string_path(self, tmp_path):
         # the streaming file sink must be byte-identical to the
         # driver-assembled string (same sections, same TOC, same order)
@@ -196,3 +203,50 @@ class TestDistributedViewer:
         assert html.startswith("<!doctype html>") and html.endswith(
             "</body></html>"
         )
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestEmptyCorpus:
+    """Every cells sink has a defined result on a zero-row corpus: the
+    doc exchange hands back frames without columns for empty shards, so
+    the driver-side folds must not index columns that are not there."""
+
+    def _empty(self):
+        from paper2table_ray.schema import CELLS_SCHEMA
+
+        return ray.data.from_arrow(CELLS_SCHEMA.empty_table())
+
+    def test_cells_to_viewer_html_matches_streaming_sink(self, tmp_path):
+        from paper2table_ray.pipelines.viewer import write_viewer_html
+
+        out = tmp_path / "empty.html"
+        assert write_viewer_html(self._empty(), str(out), title="demo") == 0
+        html = cells_to_viewer_html(self._empty(), title="demo")
+        assert html.encode("utf-8") == out.read_bytes()
+
+    def test_collect_unique_columns_is_empty(self):
+        from paper2table_ray.stages.stats import collect_unique_columns
+
+        assert collect_unique_columns(self._empty()) == {}
+
+    def test_write_csvs_writes_nothing(self, tmp_path):
+        from paper2table_ray.pipelines.export import write_csvs
+
+        out = tmp_path / "csvs"
+        assert write_csvs(self._empty(), str(out)) == []
+        assert list(out.iterdir()) == []
+
+    def test_cells_to_html_has_empty_body(self):
+        from paper2table_ray.pipelines.export import cells_to_html
+
+        html = cells_to_html(self._empty(), title="demo")
+        assert html.startswith("<!doctype html>")
+        assert html.endswith("<body></body></html>")
+
+    def test_write_resultset_summary_keeps_columns(self, tmp_path):
+        from paper2table_ray.sources.tablesfile_json import write_resultset
+
+        summary = write_resultset(self._empty(), str(tmp_path), "u-empty")
+        assert list(summary.columns) == ["doc_id", "status"]
+        assert len(summary) == 0
+        assert (tmp_path / "u-empty" / "tables.metadata.json").exists()
