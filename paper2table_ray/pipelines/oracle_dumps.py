@@ -39,7 +39,7 @@ import pyarrow.parquet as pq
 from ..state.scratch import scratch_root
 
 # bump when synthesis/stamping changes so stale cached dumps regenerate
-DUMP_VERSION = "v1"
+DUMP_VERSION = "v2"
 
 
 def _dump_root() -> str:

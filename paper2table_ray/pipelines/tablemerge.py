@@ -11,10 +11,14 @@ The full lifecycle of the reference's `tablemerge` CLI (SURVEY.md §3.2,
    (``settings_to_config`` — the analogue of build_analyzers
    __main__.py:113-143), with ``uuid_to_reader`` taken from each source's
    ``tables.metadata.json`` for the distinct-readers agreement;
-3. one coarse-sharded groupby(doc_id) merge (pipelines/merge.py);
-4. write the merged resultset (idempotent per-doc files + metadata +
-   curation skip) and persist the settings alongside
-   (``settings.tablemerge.json``), matching the reference's
+3. one coarse-sharded exchange on doc_id (stages/shuffle.py) whose shard
+   task merges its docs (``merge_cells_table``, pipelines/merge.py) and
+   writes each merged doc where it was merged (``resultset_writer``:
+   idempotent per-doc files + curation skip) — the shard already holds
+   every row of each of its docs, so no second exchange is needed;
+4. ``tables.metadata.json`` is written once on the driver before the
+   exchange, and the settings are persisted alongside
+   (``settings.tablemerge.json``) after it, matching the reference's
    settings-capture behavior (settings.py:66-74).
 """
 
@@ -27,10 +31,16 @@ from typing import List, Optional
 import pandas as pd
 
 from ..functions.text import parse_hints
-from ..sources.tablesfile_json import load_metadata, read_resultsets, write_resultset
+from ..sources.tablesfile_json import (
+    SUMMARY_COLUMNS,
+    load_metadata,
+    read_resultsets,
+    resultset_writer,
+)
 from ..stages.aligners import parse_column_aliases, parse_paper_aliases
+from ..stages.shuffle import groupby_apply_table
 from ..state.settings import MergeSettings
-from .merge import MergeConfig, merge_pipeline
+from .merge import MergeConfig, merge_cells_table
 
 
 def settings_to_config(
@@ -162,17 +172,21 @@ def run_tablemerge(
         cells = cells.map_batches(keep, batch_format="pyarrow")
     cfg = settings_to_config(settings, uuid_to_reader)
     cfg.doc_source_offsets = doc_source_offsets
-    merged = merge_pipeline(cells, cfg)
 
     uuid = resultset_uuid or merged_uuid_for(resultset_dirs)
-    summary = write_resultset(
-        merged,
+    write = resultset_writer(
         output_dir,
         uuid,
         reader="tablemerge",
         sources=sorted(uuid_to_reader),
         force_update=force_update,
         pretty=settings.pretty,
+    )
+    # reindex: an empty corpus collects to a frame with no columns
+    summary = (
+        groupby_apply_table(cells, "doc_id", lambda t: write(merge_cells_table(t, cfg)))
+        .to_pandas()
+        .reindex(columns=SUMMARY_COLUMNS)
     )
     settings.write_file(os.path.join(output_dir, uuid))
     return summary

@@ -35,6 +35,7 @@ import pyarrow as pa
 
 from ..functions.text import normalize_punctuation, normalize_str
 from ..schema import DOC_SCHEMA, SPANS_OUT_SCHEMA
+from ..stages.boilerplate import BoilerplateStripper
 from ..stages.extract import CELL_SEP
 
 DEFAULT_SEED = 42
@@ -175,7 +176,13 @@ def _make_html(paragraphs: List[str]) -> Tuple[str, List[Tuple[str, str, str]]]:
         "<footer>© 2020 The Publisher</footer>"
         "</body></html>"
     )
-    expected = [("text", normalize_str(p), "") for p in paragraphs]
+    # the stripper drops blocks shorter than its min_text_len as boilerplate
+    min_len = BoilerplateStripper().min_text_len
+    expected = [
+        ("text", text, "")
+        for text in map(normalize_str, paragraphs)
+        if len(text) >= min_len
+    ]
     return html, expected
 
 

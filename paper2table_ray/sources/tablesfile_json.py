@@ -16,11 +16,15 @@ Format parity with the reference (studied, not copied):
 - curated outputs are not overwritten unless forced
   (tablemerge/__main__.py:214-220, SURVEY.md J8).
 
-Ray shape: reading N resultset directories is
-``read_binary_files(include_paths=True) → map_batches(parse)`` → one cells
-Dataset tagged with ``source_uuid`` (ready for the merge groupby); writing
-is ``groupby(doc_id).map_groups`` — one idempotent file per doc, no
-driver-side loop over papers.
+Ray shape: reading N resultset directories lists the files on the
+driver and splits the listing into at most ``default_num_shards()``
+contiguous blocks; one ``map_batches`` task per block opens and parses its
+own files, so the cells Dataset (tagged with ``source_uuid``) arrives at
+the merge exchange as a few one-chunk blocks and file bytes never pass
+through the object store. Writing is a shard-level function
+(``resultset_writer``) run inside a ``doc_id`` exchange — one idempotent
+file per doc, no driver-side loop over papers. ``run_tablemerge`` runs it
+in the merge's own exchange; ``write_resultset`` gives it one of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import pandas as pd
 import pyarrow as pa
@@ -267,34 +271,43 @@ def doc_id_of_path(path: str) -> str:
 def read_resultsets(resultset_dirs: List[str]) -> ray.data.Dataset:
     """N resultset directories → one cells Dataset with source_uuid =
     directory basename (SURVEY.md S8 + J1 input). Metadata/settings files
-    are skipped; invalid files raise (fail the task → surfaced per-file)."""
-    paths, uuids = [], {}
+    are skipped; invalid files raise (fail the task → surfaced per-file).
+
+    The ``(path, source_uuid)`` listing is split into ``min(files,
+    default_num_shards())`` contiguous blocks, and one task per block
+    parses its files into a single ``rows_to_table`` result: each output
+    block is one Arrow chunk per column."""
+    from ..stages.shuffle import default_num_shards
+
+    paths, uuids = [], []
     for d in resultset_dirs:
         uuid = os.path.basename(os.path.normpath(d))
         for name in sorted(os.listdir(d)):
             if name.endswith(".tables.json"):
-                p = os.path.join(d, name)
-                paths.append(p)
-                uuids[p] = uuid
+                paths.append(os.path.join(d, name))
+                uuids.append(uuid)
     if not paths:
         return ray.data.from_arrow(CELLS_SCHEMA.empty_table())
-    ds = ray.data.read_binary_files(paths, include_paths=True)
+    listing = pa.table({"path": paths, "source_uuid": uuids})
+    n = min(len(paths), default_num_shards())
+    bounds = [len(paths) * i // n for i in range(n + 1)]
+    blocks = [listing.slice(s, e - s) for s, e in zip(bounds, bounds[1:])]
 
-    def parse_batch(batch: pa.Table) -> pa.Table:
+    def parse_block(block: pa.Table) -> pa.Table:
         records = []
-        for path, body in zip(
-            batch.column("path").to_pylist(), batch.column("bytes").to_pylist()
+        for path, uuid in zip(
+            block.column("path").to_pylist(), block.column("source_uuid").to_pylist()
         ):
-            tf = parse_tablesfile(body)
-            uuid = uuids.get(path) or os.path.basename(os.path.dirname(path))
-            records.extend(
-                tablesfile_to_records(doc_id_of_path(path), uuid, tf)
-            )
+            with open(path, "rb") as f:
+                tf = parse_tablesfile(f.read())
+            records.extend(tablesfile_to_records(doc_id_of_path(path), uuid, tf))
         if not records:
             return CELLS_SCHEMA.empty_table()
         return rows_to_table(records)
 
-    return ds.map_batches(parse_batch, batch_format="pyarrow")
+    return ray.data.from_arrow(blocks).map_batches(
+        parse_block, batch_format="pyarrow", batch_size=None
+    )
 
 
 def group_tablesfiles(
@@ -357,22 +370,25 @@ def _has_curations(path: str) -> bool:
     return bool(meta.get("curations"))
 
 
-def write_resultset(
-    cells: ray.data.Dataset,
+SUMMARY_COLUMNS = ["doc_id", "status"]
+
+
+def resultset_writer(
     output_dir: str,
     resultset_uuid: str,
     reader: str = "merged",
     sources: Optional[List[str]] = None,
     force_update: bool = False,
     pretty: bool = False,
-) -> pd.DataFrame:
-    """cells → ``<out>/<uuid>/<doc_id>.tables.json`` per doc + one
-    ``tables.metadata.json``; returns a summary frame (doc_id, status).
+) -> Callable[[pa.Table], pd.DataFrame]:
+    """Create ``<out>/<uuid>/`` with its ``tables.metadata.json`` (written
+    once) and return the shard-level writer: a cells table holding every
+    row of each of its docs → one ``<doc_id>.tables.json`` per doc, and a
+    ``(doc_id, status)`` frame in doc_id order.
 
-    Distributed: one ``groupby(doc_id)`` places each doc's rows in one
-    task; each file write is idempotent (tmp + rename). Zero-table docs
-    are skipped (writers/file.py:16-18); curated outputs are skipped
-    unless ``force_update``."""
+    Each file write is idempotent (tmp + rename). Zero-table docs are
+    skipped (writers/file.py:16-18); curated outputs are skipped unless
+    ``force_update``."""
     from ..schema import records_to_tablesfiles, table_to_row_records
 
     target = os.path.join(output_dir, resultset_uuid)
@@ -385,11 +401,7 @@ def write_resultset(
         with open(meta_path, "w", encoding="utf-8") as f:
             json.dump(meta, f, ensure_ascii=False)
 
-    def write_doc(group: pa.Table) -> pd.DataFrame:
-        records = table_to_row_records(group)
-        if not records:
-            return pd.DataFrame({"doc_id": [], "status": []})
-        doc_id = records[0]["doc_id"]
+    def write_doc(doc_id: str, records: List[dict]) -> str:
         by_source = records_to_tablesfiles(records)
         # a sink group should carry one source; if several, take them in order
         merged_tables, citation = [], None
@@ -401,23 +413,52 @@ def write_resultset(
         path = os.path.join(target, f"{doc_id}.tables.json")
         if not any(t["fragments"] and any(f["rows"] for f in t["fragments"])
                    for t in tf["tables"]):
-            return pd.DataFrame({"doc_id": [doc_id], "status": ["skipped-empty"]})
+            return "skipped-empty"
         if not force_update and _has_curations(path):
-            return pd.DataFrame({"doc_id": [doc_id], "status": ["skipped-curated"]})
+            return "skipped-curated"
         obj = tablesfile_to_json_obj(tf)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(obj, f, ensure_ascii=False, indent=2 if pretty else None)
         os.replace(tmp, path)
-        return pd.DataFrame({"doc_id": [doc_id], "status": ["written"]})
+        return "written"
 
-    from ..stages.shuffle import groupby_apply
+    def write_shard(tbl: pa.Table) -> pd.DataFrame:
+        by_doc: Dict[str, List[dict]] = {}
+        for rec in table_to_row_records(tbl):
+            by_doc.setdefault(rec["doc_id"], []).append(rec)
+        return pd.DataFrame(
+            [(doc_id, write_doc(doc_id, by_doc[doc_id])) for doc_id in sorted(by_doc)],
+            columns=SUMMARY_COLUMNS,
+        )
 
+    return write_shard
+
+
+def write_resultset(
+    cells: ray.data.Dataset,
+    output_dir: str,
+    resultset_uuid: str,
+    reader: str = "merged",
+    sources: Optional[List[str]] = None,
+    force_update: bool = False,
+    pretty: bool = False,
+) -> pd.DataFrame:
+    """cells → ``<out>/<uuid>/<doc_id>.tables.json`` per doc + one
+    ``tables.metadata.json``; returns a summary frame (doc_id, status).
+
+    Distributed: one ``doc_id`` exchange places each doc's rows in one
+    shard task, which runs ``resultset_writer``'s shard writer."""
+    from ..stages.shuffle import groupby_apply_table
+
+    writer = resultset_writer(
+        output_dir, resultset_uuid, reader, sources, force_update, pretty
+    )
     # reindex: an empty corpus collects to a frame with no columns
     return (
-        groupby_apply(cells, "doc_id", write_doc)
+        groupby_apply_table(cells, "doc_id", writer)
         .to_pandas()
-        .reindex(columns=["doc_id", "status"])
+        .reindex(columns=SUMMARY_COLUMNS)
     )
 
 

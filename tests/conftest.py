@@ -26,3 +26,37 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def synth_resultset_dirs(tmp_path):
+    """Factory: write the synthesized multi-run resultsets of
+    ``sources/resultsets.py`` as ``<tmp>/runs/<run uuid>/<doc_id>.tables.json``
+    plus each run's ``tables.metadata.json``; returns the run dirs, sorted."""
+    import json
+
+    import pyarrow as pa
+
+    from paper2table_ray.schema import records_to_tablesfiles, table_to_row_records
+    from paper2table_ray.sources.resultsets import RUN_READERS, synth_resultsets_batch
+    from paper2table_ray.sources.tablesfile_json import tablesfile_to_json_obj
+
+    def make(n_docs: int = 40, seed: int = 7):
+        cells = synth_resultsets_batch(pa.table({"doc_id": list(range(n_docs))}), seed)
+        by_doc = {}
+        for rec in table_to_row_records(cells):
+            by_doc.setdefault(rec["doc_id"], []).append(rec)
+        root = tmp_path / "runs"
+        for uuid, reader in RUN_READERS.items():
+            (root / uuid).mkdir(parents=True)
+            (root / uuid / "tables.metadata.json").write_text(
+                json.dumps({"uuid": uuid, "reader": reader})
+            )
+        for doc_id, records in by_doc.items():
+            for uuid, tf in records_to_tablesfiles(records).items():
+                (root / uuid / f"{doc_id}.tables.json").write_text(
+                    json.dumps(tablesfile_to_json_obj(tf))
+                )
+        return sorted(str(root / uuid) for uuid in RUN_READERS)
+
+    return make

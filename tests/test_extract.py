@@ -229,3 +229,15 @@ def test_build_doc_deterministic():
     assert s1 == s2 and e1 == e2
     s3, _ = build_doc("doc_000002", "Some text. " * 30)
     assert s3 != s1
+
+
+def test_build_doc_plan_leaves_out_short_html_paragraphs():
+    # seed 0 puts the 18-character "Short probe three." inside an html
+    # span, below the stripper's min_text_len: the plan must not expect it
+    spans, expected = build_doc(
+        "doc_probe_000", "Short probe one. Short probe two. Short probe three.", 0
+    )
+    html = [s["text"] for s in spans if s["kind"] == "html"]
+    assert html and "<p>Short probe three.</p>" in html[0]
+    assert ("text", "Short probe three.", "") not in expected
+    assert SpanExtractor(ExtractConfig()).extract_doc(spans) == expected

@@ -2,7 +2,6 @@
 
 import json
 import os
-import shutil
 
 import pandas as pd
 import pytest
@@ -17,7 +16,6 @@ from paper2table_ray.state.lineage import (
 )
 
 SF = "/root/testdata/sf0.001"
-OUT = "/tmp/p2t_lineage_test"
 
 
 def test_partition_of_deterministic():
@@ -27,40 +25,41 @@ def test_partition_of_deterministic():
 
 @pytest.mark.usefixtures("ray_session")
 class TestResume:
-    def setup_method(self):
-        shutil.rmtree(OUT, ignore_errors=True)
+    @pytest.fixture(autouse=True)
+    def _out(self, tmp_path):
+        self.out = str(tmp_path / "lineage")
 
     def test_write_then_resume_skips_everything(self):
-        summary1 = resumable_extract(SF, OUT, num_partitions=8)
+        summary1 = resumable_extract(SF, self.out, num_partitions=8)
         assert len(summary1) == 8
         assert (summary1["status"] == "ok").all()
         total_rows = summary1["row_count"].sum()
 
         # full output readable and matches span count
-        ds = read_extracted(OUT)
+        ds = read_extracted(self.out)
         assert ds.count() == total_rows
 
         # second run: all partitions complete → nothing written
-        summary2 = resumable_extract(SF, OUT, num_partitions=8)
+        summary2 = resumable_extract(SF, self.out, num_partitions=8)
         assert len(summary2) == 0
 
     def test_partial_resume(self):
-        resumable_extract(SF, OUT, num_partitions=8)
-        before = read_extracted(OUT).count()
+        resumable_extract(SF, self.out, num_partitions=8)
+        before = read_extracted(self.out).count()
         # sabotage two partitions: drop their lineage + files
-        sink = LineageSink(OUT, num_partitions=8)
+        sink = LineageSink(self.out, num_partitions=8)
         for pid in (1, 5):
-            os.remove(os.path.join(OUT, "_lineage", f"{pid:05d}.json"))
-            os.remove(os.path.join(OUT, f"part-{pid:05d}.parquet"))
+            os.remove(os.path.join(self.out, "_lineage", f"{pid:05d}.json"))
+            os.remove(os.path.join(self.out, f"part-{pid:05d}.parquet"))
         assert sink.completed_partitions() == {0, 2, 3, 4, 6, 7}
 
-        summary = resumable_extract(SF, OUT, num_partitions=8)
+        summary = resumable_extract(SF, self.out, num_partitions=8)
         assert sorted(summary["partition_id"]) == [1, 5]
-        assert read_extracted(OUT).count() == before
+        assert read_extracted(self.out).count() == before
 
     def test_lineage_records_shape(self):
-        resumable_extract(SF, OUT, num_partitions=4)
-        recs = LineageSink(OUT, num_partitions=4).lineage_records()
+        resumable_extract(SF, self.out, num_partitions=4)
+        recs = LineageSink(self.out, num_partitions=4).lineage_records()
         assert len(recs) == 4
         for rec in recs:
             assert rec["stage"] == "extract"

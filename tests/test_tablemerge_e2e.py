@@ -277,3 +277,119 @@ class TestOutputGuards:
         )
         run_tablemerge([src], str(tmp_path / "output"), force_update=False)
         assert self._merged_rows(out_file) == self.EXPECT
+
+
+def _two_exchange_tablemerge(dirs, out, settings, paper=None, force_update=False):
+    """``run_tablemerge``'s steps composed from the public parts, one
+    exchange each: ``merge_pipeline``, then ``write_resultset``."""
+    import re
+
+    import pyarrow as pa
+
+    from paper2table_ray.pipelines.merge import merge_pipeline
+    from paper2table_ray.pipelines.tablemerge import apply_paper_aliases
+    from paper2table_ray.sources.tablesfile_json import load_metadata, write_resultset
+    from paper2table_ray.stages.aligners import parse_paper_aliases
+
+    uuid_to_reader = {}
+    for d in dirs:
+        meta = load_metadata(d)
+        uuid_to_reader[meta["uuid"]] = meta["reader"]
+    cells = read_resultsets(dirs)
+    cfg = settings_to_config(settings, uuid_to_reader)
+    aliases = parse_paper_aliases(settings.paper_aliases or "")
+    if aliases:
+        cells = apply_paper_aliases(cells, aliases)
+        cfg.doc_source_offsets = {
+            (canonical, os.path.basename(d)): offset
+            for d in dirs
+            for alias, (canonical, offset) in aliases.items()
+            if offset and os.path.exists(os.path.join(d, f"{alias}.tables.json"))
+        }
+    if paper:
+        pattern = re.compile(paper)
+
+        def keep(batch: pa.Table) -> pa.Table:
+            ids = batch.column("doc_id").to_pylist()
+            return batch.filter(pa.array([bool(pattern.fullmatch(d)) for d in ids]))
+
+        cells = cells.map_batches(keep, batch_format="pyarrow")
+    uuid = merged_uuid_for(dirs)
+    summary = write_resultset(
+        merge_pipeline(cells, cfg),
+        out,
+        uuid,
+        reader="tablemerge",
+        sources=sorted(uuid_to_reader),
+        force_update=force_update,
+        pretty=settings.pretty,
+    )
+    settings.write_file(os.path.join(out, uuid))
+    return summary
+
+
+def _tree_bytes(root):
+    return {
+        os.path.relpath(os.path.join(dp, name), root): Path(dp, name).read_bytes()
+        for dp, _dirs, names in os.walk(root)
+        for name in names
+    }
+
+
+def _rows(summary):
+    return summary.sort_values("doc_id").to_dict("records")
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestFusedMergeWrite:
+    """``run_tablemerge`` merges and writes in one exchange; its output
+    must equal ``merge_pipeline`` → ``write_resultset`` byte for byte."""
+
+    def _both(self, tmp_path, dirs, settings, **kw):
+        fused = run_tablemerge(dirs, str(tmp_path / "fused"), settings, **kw)
+        two = _two_exchange_tablemerge(dirs, str(tmp_path / "two"), settings, **kw)
+        assert _rows(fused) == _rows(two)
+        assert _tree_bytes(tmp_path / "fused") == _tree_bytes(tmp_path / "two")
+        return fused
+
+    def test_no_options(self, tmp_path, synth_resultset_dirs):
+        dirs = synth_resultset_dirs()
+        summary = self._both(tmp_path, dirs, MergeSettings())
+        assert (summary["status"] == "written").sum() == 40
+
+    def test_paper_regex(self, tmp_path, synth_resultset_dirs):
+        dirs = synth_resultset_dirs()
+        summary = self._both(tmp_path, dirs, MergeSettings(), paper="doc_00001[0-4]")
+        assert sorted(summary["doc_id"]) == [f"doc_00001{i}" for i in range(5)]
+
+    def test_paper_aliases_with_page_offset(self, tmp_path, synth_resultset_dirs):
+        dirs = synth_resultset_dirs()
+        for doc in ("doc_000003", "doc_000007"):
+            os.rename(
+                os.path.join(dirs[1], f"{doc}.tables.json"),
+                os.path.join(dirs[1], f"{doc}_v2.tables.json"),
+            )
+        settings = MergeSettings(
+            paper_aliases="doc_000003_v2:doc_000003:1, doc_000007_v2:doc_000007"
+        )
+        summary = self._both(tmp_path, dirs, settings)
+        assert not summary["doc_id"].str.endswith("_v2").any()
+        assert len(summary) == 40
+
+    def test_curated_output(self, tmp_path, synth_resultset_dirs):
+        dirs = synth_resultset_dirs()
+        sentinel = json.dumps({
+            "tables": [],
+            "citation": "sentinel",
+            "metadata": {"filename": None, "curations": [{"curator": "alice"}]},
+        })
+        for out in ("fused", "two"):
+            target = tmp_path / out / merged_uuid_for(dirs)
+            target.mkdir(parents=True)
+            (target / "doc_000005.tables.json").write_text(sentinel)
+        summary = self._both(tmp_path, dirs, MergeSettings())
+        status = dict(zip(summary["doc_id"], summary["status"]))
+        assert status["doc_000005"] == "skipped-curated"
+        summary = self._both(tmp_path, dirs, MergeSettings(), force_update=True)
+        status = dict(zip(summary["doc_id"], summary["status"]))
+        assert status["doc_000005"] == "written"

@@ -189,6 +189,60 @@ class TestRayReadWrite:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestReadShape:
+    """The read hands the exchange few, contiguous blocks: at most
+    ``default_num_shards()`` of them, each one Arrow chunk per column."""
+
+    def test_blocks_are_few_and_single_chunk(self, synth_resultset_dirs):
+        import pyarrow as pa
+        import ray
+
+        from paper2table_ray.schema import (
+            rows_to_table,
+            table_to_row_records,
+            tablesfile_to_records,
+        )
+        from paper2table_ray.stages.shuffle import default_num_shards
+
+        dirs = synth_resultset_dirs(n_docs=48)
+        files = [
+            (d, name) for d in dirs for name in sorted(os.listdir(d))
+            if name.endswith(".tables.json")
+        ]
+        assert len(dirs) >= 3
+        assert all(sum(f[0] == d for f in files) >= 40 for d in dirs)
+
+        blocks = ray.get(read_resultsets(dirs).to_arrow_refs())
+        assert 0 < len(blocks) <= default_num_shards()
+        for block in blocks:
+            assert [c.num_chunks for c in block.columns] == [1] * block.num_columns
+
+        expected = []
+        for d, name in files:
+            with open(os.path.join(d, name), encoding="utf-8") as f:
+                tf = parse_tablesfile(json.load(f))
+            expected.extend(tablesfile_to_records(
+                name.removesuffix(".tables.json"), os.path.basename(d), tf
+            ))
+
+        def canon(records):
+            return sorted(json.dumps(r, sort_keys=True) for r in records)
+
+        got = table_to_row_records(pa.concat_tables(blocks))
+        assert canon(got) == canon(table_to_row_records(rows_to_table(expected)))
+
+    def test_empty_dir_gives_empty_cells_table(self, tmp_path):
+        import pyarrow as pa
+        import ray
+
+        from paper2table_ray.schema import CELLS_SCHEMA
+
+        (tmp_path / "run").mkdir()
+        blocks = ray.get(read_resultsets([str(tmp_path / "run")]).to_arrow_refs())
+        assert pa.concat_tables(blocks).equals(CELLS_SCHEMA.empty_table())
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestExportSinks:
     @needs_reference
     def test_csv_sink(self, tmp_path):
