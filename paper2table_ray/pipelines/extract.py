@@ -375,7 +375,7 @@ def extract_spans_mapped(
     batch_size: int = 32,
     concurrency=None,
     broadcast_limit: int = 200_000,
-    num_shards: int = 64,
+    num_shards: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Mapped (hybrid) extraction.
 
@@ -387,8 +387,9 @@ def extract_spans_mapped(
     driver memory, one ``ray.put``); above the bound the mapping side is
     hash-joined to docs on doc_id via a coarse-shard co-partition (both
     sides stamped with ``hash(doc_id) % num_shards``, one shuffle, the
-    in-shard task builds a local dict and extracts) — no driver
-    materialization of a corpus-scaled side."""
+    in-shard task builds a local dict and extracts; ``num_shards``
+    defaults to ``default_num_shards()``) — no driver materialization of
+    a corpus-scaled side."""
     import ray
 
     if concurrency is None:
@@ -433,7 +434,7 @@ def _extract_mapped_shardjoin(
     docs: ray.data.Dataset,
     mappings: ray.data.Dataset,
     config: Optional[ExtractConfig] = None,
-    num_shards: int = 64,
+    num_shards: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Scale path for mapped extraction: co-partition docs and mappings on
     ``hash(doc_id) % num_shards`` (one union + one coarse-shard groupby —
@@ -447,8 +448,11 @@ def _extract_mapped_shardjoin(
     import pyarrow as pa
 
     from ..schema import SPANS_OUT_SCHEMA
+    from ..stages.shuffle import default_num_shards
 
     cfg = config or ExtractConfig()
+    if num_shards is None:
+        num_shards = default_num_shards()
 
     def _shard_of(batch: pa.Table) -> pa.Array:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)

@@ -864,7 +864,8 @@ def q_filenorm_plan(sf_dir: str):
         )
 
     # num_shards=16: two coarse-shard stages on a sub-10^4-row corpus are
-    # fixed-cost bound; the deploy-scale default (64) stays in the stage.
+    # fixed-cost bound, so this query pins the width; the stage's own
+    # default is cluster-sized (default_num_shards()).
     # (plan_actions_distributed also has a size-gated driver fast path;
     # this query keeps the distributed fold ON to exercise it.)
     hashed = ds.map_batches(hash_rows, batch_format="pyarrow")

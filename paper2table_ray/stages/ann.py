@@ -155,7 +155,7 @@ def embedding_cosine_dedup_pairs(
     dim: Optional[int] = None,
     max_bucket_size: int = 4096,
     verify_broadcast_limit: int = 1_000_000,
-    num_shards: int = 64,
+    num_shards: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Embedding near-duplicate pairs — the LSH scale path.
 
@@ -176,7 +176,8 @@ def embedding_cosine_dedup_pairs(
 
     Recall at similarity s: collision p = 1 - arccos(s)/π per bit,
     per-band p^n_bits, overall 1-(1-p^n_bits)^n_bands. No false
-    positives (verify is exact)."""
+    positives (verify is exact). ``num_shards`` sizes the candidate and
+    join exchanges; None means ``default_num_shards()``."""
     if dim is None:
         first = embeddings.take(1)[0]
         dim = len(first["embedding"])

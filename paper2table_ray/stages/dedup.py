@@ -22,10 +22,11 @@ Scale shape (what crosses the wire, per doc):
    num_shards`` key so the groupby sees O(num_shards) groups, not one
    per bucket (per-group overhead, not data volume, is what kills
    ``map_groups`` over millions of 1-row groups);
-4. candidate pairs are made distinct with a sort-based ``aggregate``
-   (vectorized), then verified by hash-joining the packed signature /
-   shingle table back on both pair sides (`Dataset.join`) — the join
-   input is |candidates|, a small fraction of the corpus;
+4. candidate pairs are made distinct under the same coarse pair-hash
+   sharding, then verified against the candidates' packed signatures /
+   shingle sets: broadcast when they fit ``joins.BROADCAST_BYTE_LIMIT``,
+   else shard-joined onto both pair sides (``joins.hash_join``) — the
+   join input is |candidates|, a small fraction of the corpus;
 5. oversized buckets (hot hashes: boilerplate, empty docs) are capped at
    ``max_bucket_size`` members, deterministically by sorted doc id, so a
    degenerate key cannot go quadratic.
@@ -43,6 +44,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Min
 
+from .shuffle import default_num_shards
 from .textqc import TOKEN_RE, canonical_text
 
 _MERSENNE_P = (1 << 61) - 1
@@ -214,13 +216,12 @@ def _shard_candidate_pairs(
     return out.drop_duplicates()
 
 
-def _distinct_pairs(
-    pairs: ray.data.Dataset, num_shards: int = 64
-) -> ray.data.Dataset:
+def _distinct_pairs(pairs: ray.data.Dataset, num_shards: int) -> ray.data.Dataset:
     """Global pair dedup via coarse pair-hash sharding + vectorized
     in-shard ``drop_duplicates``. NOT ``groupby([doc_a, doc_b])`` — Ray's
     sort aggregate pays per-group overhead on one group per pair
-    (measured ~28s for 10k pair-groups vs ~1s for 64 shards)."""
+    (measured ~28s for 10k pair-groups vs ~1s at a coarse-shard width).
+    The caller passes its own exchange width."""
 
     def add_shard(df: pd.DataFrame) -> pd.DataFrame:
         h = pd.util.hash_pandas_object(df[["doc_a", "doc_b"]], index=False)
@@ -245,8 +246,7 @@ def minhash_lsh_pairs(
     shingle_k: int = 3,
     exact_verify: bool = True,
     concurrency=(1, 8),
-    num_shards: int = 64,
-    join_partitions: int = 8,
+    num_shards: int | None = None,
     max_bucket_size: int = 256,
     broadcast_pair_limit: int = 2_000_000,
     persist_threshold: int = 2_000_000,
@@ -258,13 +258,18 @@ def minhash_lsh_pairs(
 
     shingle+minhash (vectorized map_batches) → band explode (only
     ``(shard, bucket, doc_id)`` crosses the shuffle) → coarse-shard
-    groupby → in-shard vectorized pair-gen → distinct via aggregate →
-    hash-join packed sigs/shingles back on both sides → vectorized
-    verify. ``jaccard`` is exact (true shingle-set overlap) when
-    ``exact_verify`` else the signature estimate.
+    groupby → in-shard vectorized pair-gen → coarse-shard distinct →
+    packed sigs/shingles of the candidates broadcast (or, above the pair
+    or byte bound, shard-joined onto both sides) → vectorized verify.
+    ``jaccard`` is exact (true shingle-set overlap) when ``exact_verify``
+    else the signature estimate. ``num_shards`` (default
+    ``default_num_shards()``) sizes every exchange: bands, pair-distinct
+    and the join fallback.
     """
     from .workercache import worker_cached
 
+    if num_shards is None:
+        num_shards = default_num_shards()
     rows_per_band = num_perm // bands
     # MinHasher state (permutation coefficient arrays) is cheap → task
     # pool + worker-local cache instead of an actor pool (no spin-up;
@@ -324,7 +329,7 @@ def minhash_lsh_pairs(
         lambda g: _shard_candidate_pairs(g, max_bucket_size),
         batch_format="pandas",
     )
-    distinct = _distinct_pairs(cands).materialize()
+    distinct = _distinct_pairs(cands, num_shards).materialize()
 
     def verify_with_lookup(batch: pa.Table, feat_map: dict) -> pa.Table:
         m = batch.num_rows
@@ -361,10 +366,11 @@ def minhash_lsh_pairs(
 
     n_pairs = distinct.count()
     if n_pairs == 0:
-        try:
-            id_type = distinct.schema().base_schema.field("doc_a").type
-        except Exception:
-            id_type = pa.string()
+        # the caller's id type comes from the features: an empty
+        # ``distinct`` may carry no typed doc_a at all
+        schema = feats.schema()
+        types = dict(zip(schema.names, schema.types)) if schema else {}
+        id_type = types.get("doc_id", pa.string())
         empty = pa.table(
             {
                 "doc_a": pa.array([], id_type),
@@ -378,6 +384,10 @@ def minhash_lsh_pairs(
         # Candidate features are O(pairs) — ship them ONCE via ray.put and
         # probe per batch, instead of two Dataset.joins (each join costs
         # ~10s+ of fixed aggregator setup; measured 25s for 256 pairs).
+        # Gated on bytes as well as pairs, with hash_join's bound: long
+        # docs make wide shingle sets.
+        from .joins import BROADCAST_BYTE_LIMIT
+
         pdf = distinct.to_pandas()
         cand_ids = pa.array(sorted(set(pdf["doc_a"]) | set(pdf["doc_b"])))
         ids_ref = ray.put(cand_ids)
@@ -388,53 +398,53 @@ def minhash_lsh_pairs(
             mask = pc.is_in(batch.column("doc_id"), value_set=ray.get(ids_ref))
             return batch.filter(mask)
 
-        ftbl = pa.concat_tables(
-            feats.map_batches(pick, batch_format="pyarrow").iter_batches(
-                batch_format="pyarrow"
-            ),
-            promote_options="default",
-        )
-        shingle_col = (
-            ftbl.column("shingles").to_pylist()
-            if "shingles" in ftbl.column_names
-            else [None] * ftbl.num_rows
-        )
-        feat_map = {
-            d: (s, sh)
-            for d, s, sh in zip(
-                ftbl.column("doc_id").to_pylist(),
-                ftbl.column("minhash_sig").to_pylist(),
-                shingle_col,
+        picked = feats.map_batches(pick, batch_format="pyarrow").materialize()
+        if picked.size_bytes() <= BROADCAST_BYTE_LIMIT:
+            ftbl = pa.concat_tables(
+                picked.iter_batches(batch_format="pyarrow"),
+                promote_options="default",
             )
-        }
-        feat_ref = ray.put(feat_map)
-        return distinct.map_batches(
-            lambda b: verify_with_lookup(b, ray.get(feat_ref)),
-            batch_format="pyarrow",
+            shingle_col = (
+                ftbl.column("shingles").to_pylist()
+                if "shingles" in ftbl.column_names
+                else [None] * ftbl.num_rows
+            )
+            feat_map = {
+                d: (s, sh)
+                for d, s, sh in zip(
+                    ftbl.column("doc_id").to_pylist(),
+                    ftbl.column("minhash_sig").to_pylist(),
+                    shingle_col,
+                )
+            }
+            feat_ref = ray.put(feat_map)
+            return distinct.map_batches(
+                lambda b: verify_with_lookup(b, ray.get(feat_ref)),
+                batch_format="pyarrow",
+            )
+
+    # scale fallback: too many candidates (or candidate bytes) to
+    # broadcast → attach the packed features to both pair sides with the
+    # shard join (stages/joins.py), ``num_shards`` wide. Ray's
+    # ``Dataset.join`` is not used: two chained 8-partition joins did not
+    # finish within 60 s on a 4-CPU local cluster.
+    from .joins import hash_join
+
+    feat_cols = ["minhash_sig"] + (["shingles"] if exact_verify else [])
+    side = feats.select_columns(["doc_id"] + feat_cols).materialize()
+
+    def suffixed(sfx: str):
+        return lambda t: t.rename_columns(
+            [c + sfx if c in feat_cols else c for c in t.column_names]
         )
 
-    # scale fallback: too many candidates to broadcast → hash-join the
-    # packed feature table back on both pair sides.
-    cols = ["doc_id", "minhash_sig"] + (["shingles"] if exact_verify else [])
-    side = feats.select_columns(cols)
-    j1 = distinct.join(
-        side,
-        "inner",
-        num_partitions=join_partitions,
-        on=("doc_a",),
-        right_on=("doc_id",),
-        left_suffix="_l",
-        right_suffix="_a",
-    )
-    j2 = j1.join(
-        side,
-        "inner",
-        num_partitions=join_partitions,
-        on=("doc_b",),
-        right_on=("doc_id",),
-        left_suffix="_a",
-        right_suffix="_b",
-    )
+    def attach(pairs: ray.data.Dataset, key: str, sfx: str) -> ray.data.Dataset:
+        return hash_join(
+            pairs, side, key, "doc_id", feat_cols, broadcast_limit=0,
+            num_shards=num_shards, post=suffixed(sfx),
+        ).materialize()
+
+    joined = attach(attach(distinct, "doc_a", "_a"), "doc_b", "_b")
 
     def verify_joined(batch: pa.Table) -> pa.Table:
         m = batch.num_rows
@@ -446,12 +456,8 @@ def minhash_lsh_pairs(
                     "jaccard": pa.array([], pa.float64()),
                 }
             )
-        names = batch.column_names
-        sig_a_name = "minhash_sig_a" if "minhash_sig_a" in names else "minhash_sig"
         if exact_verify:
-            sa = batch.column(
-                "shingles_a" if "shingles_a" in names else "shingles"
-            ).to_pylist()
+            sa = batch.column("shingles_a").to_pylist()
             sb = batch.column("shingles_b").to_pylist()
             jac = np.empty(m, dtype=np.float64)
             for i in range(m):
@@ -460,7 +466,7 @@ def minhash_lsh_pairs(
                 union = A.size + B.size - inter
                 jac[i] = inter / union if union else 0.0
         else:
-            A = _sig_matrix(batch.column(sig_a_name), num_perm)
+            A = _sig_matrix(batch.column("minhash_sig_a"), num_perm)
             B = _sig_matrix(batch.column("minhash_sig_b"), num_perm)
             jac = (A == B).mean(axis=1)
         keep = jac >= threshold
@@ -472,7 +478,7 @@ def minhash_lsh_pairs(
             }
         )
 
-    return j2.map_batches(verify_joined, batch_format="pyarrow")
+    return joined.map_batches(verify_joined, batch_format="pyarrow")
 
 
 def exact_dedup(
@@ -557,7 +563,7 @@ def simhash_pairs(
     docs: ray.data.Dataset,
     max_hamming: int = 3,
     chunks: int | None = None,
-    num_shards: int = 64,
+    num_shards: int | None = None,
     max_bucket_size: int = 4096,
 ) -> ray.data.Dataset:
     """Near-dup pairs by SimHash: pigeonhole on 64/chunks-bit chunks (a
@@ -566,8 +572,11 @@ def simhash_pairs(
     exact Hamming verify inside the bucket (Manku et al. WWW'07).
 
     The 8-byte simhash rides the shuffle inline (cheaper than a join-back
-    at any scale), under the same coarse-shard groupby as MinHash-LSH.
+    at any scale), under the same coarse-shard groupby as MinHash-LSH,
+    ``num_shards`` wide (default ``default_num_shards()``).
     """
+    if num_shards is None:
+        num_shards = default_num_shards()
     if chunks is None:
         chunks = min(max_hamming + 1, 16)
     width = 64 // chunks
@@ -732,10 +741,48 @@ def _word_trigrams(text: str) -> list:
     return list({f"{ws[i]} {ws[i + 1]} {ws[i + 2]}" for i in range(len(ws) - 2)})
 
 
+def trigram_shard_rows(batch: pa.Table, num_shards: int) -> pa.Table:
+    """``(doc_id, text)`` batch → one ``(doc_id, sh, shard)`` row per
+    distinct word trigram of each doc, ``shard = hash(sh) % num_shards``
+    (any width, not only powers of two)."""
+    # the pair key packs (doc_a, doc_b) into one int64 as
+    # (lo << 32) | hi — bijective only for ids in [0, 2^32); anything
+    # larger would silently merge/corrupt pair counts, so fail loudly
+    # here (corpora with wider ids should pre-map to a dense range)
+    raw = batch.column("doc_id")
+    if len(raw):
+        lo_hi = pc.min_max(raw)
+        lo_id, hi_id = lo_hi["min"].as_py(), lo_hi["max"].as_py()
+        if lo_id is not None and (lo_id < 0 or hi_id >= 1 << 32):
+            raise ValueError(
+                "exact_jaccard_pairs requires 0 <= doc_id < 2**32 "
+                f"(got range [{lo_id}, {hi_id}]); remap ids to a dense "
+                "range before calling"
+            )
+    ids, shs = [], []
+    for doc_id, text in zip(
+        batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
+    ):
+        tri = _word_trigrams(text or "")
+        shs.extend(tri)
+        ids.extend([doc_id] * len(tri))
+    sh_arr = pa.array(shs, type=pa.string())
+    shard = pd.util.hash_array(np.asarray(shs, dtype=object)) % np.uint64(
+        num_shards
+    )
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "sh": sh_arr,
+            "shard": pa.array(shard.astype(np.int32)),
+        }
+    )
+
+
 def exact_jaccard_pairs(
     docs: ray.data.Dataset,
     threshold: float = 0.6,
-    num_shards: int = 64,
+    num_shards: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT word-trigram Jaccard near-dup pairs — the verification
     baseline for the LSH family (``ngram_jaccard_pairs`` /
@@ -756,44 +803,12 @@ def exact_jaccard_pairs(
     """
     from .joins import hash_join
 
-    def shingle_rows(batch: pa.Table) -> pa.Table:
-        # the pair key packs (doc_a, doc_b) into one int64 as
-        # (lo << 32) | hi — bijective only for ids in [0, 2^32); anything
-        # larger would silently merge/corrupt pair counts, so fail loudly
-        # here (corpora with wider ids should pre-map to a dense range)
-        raw = batch.column("doc_id")
-        if len(raw):
-            lo_hi = pc.min_max(raw)
-            lo_id, hi_id = lo_hi["min"].as_py(), lo_hi["max"].as_py()
-            if lo_id is not None and (lo_id < 0 or hi_id >= 1 << 32):
-                raise ValueError(
-                    "exact_jaccard_pairs requires 0 <= doc_id < 2**32 "
-                    f"(got range [{lo_id}, {hi_id}]); remap ids to a dense "
-                    "range before calling"
-                )
-        ids, shs = [], []
-        for doc_id, text in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            tri = _word_trigrams(text or "")
-            shs.extend(tri)
-            ids.extend([doc_id] * len(tri))
-        sh_arr = pa.array(shs, type=pa.string())
-        shard = pc.bit_wise_and(
-            pa.array(
-                pd.util.hash_array(np.asarray(shs, dtype=object)).astype("int64")
-            ),
-            num_shards - 1,
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "sh": sh_arr,
-                "shard": shard,
-            }
-        )
+    if num_shards is None:
+        num_shards = default_num_shards()
 
-    shingles = docs.map_batches(shingle_rows, batch_format="pyarrow")
+    shingles = docs.map_batches(
+        lambda b: trigram_shard_rows(b, num_shards), batch_format="pyarrow"
+    )
 
     # per-doc set sizes: tiny aggregate (one int per doc)
     from ray.data.aggregate import Count

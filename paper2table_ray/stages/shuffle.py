@@ -12,8 +12,10 @@ is applied per group in-process.
 
 Semantics guarantee: ``fn`` still receives EXACTLY one full group per
 call (all rows for one key, co-located), same as ``map_groups``; only the
-scheduling granularity changes. Pick ``num_shards`` ≈ 2-4× total cores at
-deploy scale.
+scheduling granularity changes. ``num_shards=None`` resolves to
+``default_num_shards()`` (2× cluster CPUs, floor 16); every package
+exchange defaults to it; only contracts (the lineage store's partition
+count, ``q_filenorm_plan``'s 16) pass a fixed width.
 """
 
 from __future__ import annotations

@@ -154,6 +154,41 @@ class TestDedupRay:
             name.startswith("p2t_minhash_sigs_") for name in _os.listdir(tmp_path)
         )
 
+    def test_minhash_no_pairs_keeps_caller_id_type(self):
+        ds = ray.data.from_arrow(
+            pa.table({"doc_id": pa.array([7], pa.int64()), "text": ["one two three four"]})
+        )
+        out = dd.minhash_lsh_pairs(ds, threshold=0.5).to_arrow_refs()
+        tbl = pa.concat_tables(ray.get(out))
+        assert tbl.num_rows == 0
+        assert tbl.schema == pa.schema(
+            [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jaccard", pa.float64())]
+        )
+
+    @pytest.mark.parametrize("exact_verify", [True, False])
+    def test_minhash_verify_over_byte_bound_joins(self, monkeypatch, exact_verify):
+        # candidate features over the broadcast byte bound take the
+        # two shard joins; they must find the same pairs and values
+        from paper2table_ray.stages import joins
+
+        ds = ray.data.from_items(_near_dup_docs()).materialize()
+        kw = dict(threshold=0.6, exact_verify=exact_verify)
+        broadcast = dd.minhash_lsh_pairs(ds, **kw).to_pandas()
+        monkeypatch.setattr(joins, "BROADCAST_BYTE_LIMIT", 0)
+        joins_run = []
+        real_join = joins._shard_join
+
+        def counting_join(*args, **kwargs):
+            joins_run.append(1)
+            return real_join(*args, **kwargs)
+
+        monkeypatch.setattr(joins, "_shard_join", counting_join)
+        joined = dd.minhash_lsh_pairs(ds, **kw).to_pandas()
+        key = lambda df: sorted(zip(df["doc_a"], df["doc_b"], df["jaccard"]))
+        assert key(broadcast) == key(joined)
+        assert len(broadcast) > 0
+        assert len(joins_run) == 2
+
     def test_simhash_pairs(self):
         ds = ray.data.from_items(_near_dup_docs())
         pairs = dd.simhash_pairs(ds, max_hamming=10).to_pandas()
