@@ -84,7 +84,7 @@ def cmd_extract(argv: List[str]) -> int:
         docs = sink.filter_pending(sink.add_partition_column(docs))
     if args.mappings:
         # mapping side stays a Dataset end-to-end (in-task cache IO;
-        # extract_spans_mapped size-gates broadcast vs doc_id shard join)
+        # extract_spans_mapped attaches it with a doc_id hash_join)
         mappings = plan_mappings_ds(
             docs, cache_dir=args.mappings, force=args.force_mapping_generation
         )

@@ -4,9 +4,9 @@ Composes the engine's curation operators into the standard pre-training
 funnel over a ``documents``-shaped table:
 
     read (column-pruned) → text features + quality score (vectorized)
-    → language ID (actor pool) → lang/quality filters → exact dedup
+    → language ID (worker-cached) → lang/quality filters → exact dedup
     (hash-partitioned survivor aggregate + broadcast-or-shard semi-join)
-    → PII redaction (actor pool) → partitioned lineage write (resumable)
+    → PII redaction (worker-cached) → partitioned lineage write (resumable)
 
 Every stage streams; the only exchanges are the dedup survivor aggregate
 (O(docs) slim (hash, id) rows) and the final placement shuffle of the

@@ -1,15 +1,17 @@
 """The flagship extraction pipeline (Ray Data wiring).
 
-read docs → (optional size-bucket repartition) → SpanExtractor actor pool →
-ordered span table → partitioned parquet sink (resumable).
+read docs → (optional size-bucket repartition) → SpanExtractor task stage
+(worker-cached, stages/workercache.py) → ordered span table → partitioned
+parquet sink (resumable).
 
 Scale notes (SURVEY.md §4): the extractor is CPU-bound per doc with skewed
 doc sizes, so (a) batches are small (docs-per-batch, not rows), (b) the
-actor pool sizes with the cluster via ``concurrency=(min, max)`` autoscaling
-rather than a hard-coded pool, (c) there is **no shuffle** in this pipeline
+extractor's state is built once per worker process and Ray sizes the task
+pool from the cluster, (c) there is **no shuffle** in this pipeline
 — span order is preserved because extraction is per-doc and the output
 carries ``(doc_id, span_idx)``. Any consumer that does shuffle can restore
-the invariant with a sort on those keys.
+the invariant with a sort on those keys. Mapped extraction attaches each
+doc's mapping with ``stages/joins.hash_join``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import pyarrow.compute as pc
-
 import ray.data
 
 from ..sources.synth import DEFAULT_SEED, synth_docs_batch
 from ..stages.extract import ExtractConfig, SpanExtractor
+from ..stages.workercache import worker_cached
 
 
 def synth_docs_dataset(
@@ -98,61 +99,20 @@ def add_size_buckets(ds: ray.data.Dataset) -> ray.data.Dataset:
     return ds.map_batches(bucket, batch_format="pyarrow")
 
 
-_WORKER_EXTRACTOR: dict = {}
-
-
-def _extract_batch_cached(batch, config: ExtractConfig, mappings=None):
-    """Task UDF with worker-local extractor cache: Ray reuses worker
-    processes across tasks, so construction (regex compile, hint set,
-    stripper) still happens once per worker — the init-once guarantee of
-    an actor pool WITHOUT its slow scale-up (actor process spawn+imports
-    measured ~10s for a 32-pool on this box, dominating short runs).
-    Reserve true actor pools (use_actors=True) for genuinely expensive
-    state (models, external processes)."""
-    key = (id(type(config)), repr(config), mappings is not None)
-    ex = _WORKER_EXTRACTOR.get(key)
-    if ex is None:
-        ex = SpanExtractor(config, mappings=mappings)
-        _WORKER_EXTRACTOR.clear()
-        _WORKER_EXTRACTOR[key] = ex
-    return ex(batch)
-
-
 def extract_spans(
     docs: ray.data.Dataset,
     config: Optional[ExtractConfig] = None,
     batch_size: int = 32,
-    concurrency=None,
-    use_actors: bool = False,
 ) -> ray.data.Dataset:
     """docs (DOC_SCHEMA) → spans (SPANS_OUT_SCHEMA).
 
-    Default: task pool + worker-local extractor cache (see
-    ``_extract_batch_cached``). ``use_actors=True`` hosts ``SpanExtractor``
-    as an autoscaling actor pool instead (the shape for expensive state).
-    Small batch_size bounds the damage of one giant doc in a batch (skew).
+    Task pool + worker-local extractor cache: Ray reuses worker processes
+    across tasks, so construction (regex compile, hint set, stripper)
+    happens once per worker without an actor pool's spawn latency. Small
+    batch_size bounds the damage of one giant doc in a batch (skew).
     """
-    cfg = config or ExtractConfig()
-    if use_actors:
-        if concurrency is None:
-            import ray
-
-            cpus = (
-                int(ray.cluster_resources().get("CPU", 4))
-                if ray.is_initialized()
-                else 4
-            )
-            concurrency = (1, max(2, cpus))
-        return docs.map_batches(
-            SpanExtractor,
-            fn_constructor_kwargs={"config": cfg},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            concurrency=concurrency,
-        )
     return docs.map_batches(
-        lambda b: _extract_batch_cached(b, cfg),
+        worker_cached(SpanExtractor, config=config or ExtractConfig()),
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
@@ -178,15 +138,15 @@ def extract_pipeline(
 
 
 class SynthExtract:
-    """Fused synth→extract actor stage: documents.parquet rows → interleaved
+    """Fused synth→extract stage: documents.parquet rows → interleaved
     docs (in-memory, never serialized) → output spans.
 
     Why fused: the interleaved doc blocks are ~5-10× larger than both their
     parquet source and the span output; shipping them through the object
-    store between a synth task stage and the extract actor stage makes the
+    store between a synth stage and the extract stage makes the
     pipeline plasma-bound (object-store writes serialize under memory
     pressure — measured ANTI-scaling 8→32 cpus). One stage keeps the fat
-    intermediate on the actor's heap. On a deployment reading real
+    intermediate on the worker's heap. On a deployment reading real
     interleaved Lance input there is no synth stage and the extractor reads
     the source directly — same shape."""
 
@@ -220,9 +180,8 @@ def extract_pipeline_fused(
     seed: int = DEFAULT_SEED,
     repeat: int = 1,
     batch_size: int = 16,
-    concurrency=None,
 ) -> ray.data.Dataset:
-    """Flagship with synth+extract fused in one actor pool (see
+    """Flagship with synth+extract fused in one task stage (see
     SynthExtract). The benchmark headline uses this path."""
     import ray as _ray
 
@@ -235,18 +194,8 @@ def extract_pipeline_fused(
     )
     if parallelism:
         ds = ds.repartition(parallelism)  # single-row-group source → split
-    cache: dict = {}
-
-    def fused(batch):
-        se = cache.get("se")
-        if se is None:
-            se = cache["se"] = SynthExtract(seed=seed, repeat=repeat, config=config)
-        return se(batch)
-
-    # task pool + closure-local cache (the closure is deserialized once per
-    # worker process) — see _extract_batch_cached for why not an actor pool
     return ds.map_batches(
-        fused,
+        worker_cached(SynthExtract, seed=seed, repeat=repeat, config=config),
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
@@ -344,172 +293,49 @@ def plan_mappings_ds(
     return docs.map_batches(plan_batch, batch_format="pyarrow")
 
 
-def plan_mappings(
-    docs: ray.data.Dataset,
-    cache_dir: Optional[str] = None,
-) -> dict:
-    """Small-side compatibility wrapper over :func:`plan_mappings_ds`:
-    collects the mapping side table to a ``{doc_id: mapping}`` dict for
-    ``ray.put`` broadcast (J6). Use ONLY when the mapping count is known
-    to be driver-sized; large corpora should pass the Dataset from
-    ``plan_mappings_ds`` straight to ``extract_spans_mapped``, which
-    size-gates broadcast vs a doc_id hash join."""
-    import json
-
-    result: dict = {}
-    for batch in plan_mappings_ds(docs, cache_dir=cache_dir).iter_batches(
-        batch_format="pyarrow"
-    ):
-        for doc_id, mj in zip(
-            batch.column("doc_id").to_pylist(),
-            batch.column("mapping_json").to_pylist(),
-        ):
-            result[doc_id] = json.loads(mj)
-    return result
-
-
 def extract_spans_mapped(
     docs: ray.data.Dataset,
     mappings,
     config: Optional[ExtractConfig] = None,
     batch_size: int = 32,
-    concurrency=None,
     broadcast_limit: int = 200_000,
     num_shards: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Mapped (hybrid) extraction.
 
-    ``mappings`` is either a ``{doc_id: mapping}`` dict (legacy small-side
-    path: shipped to the actor pool via ``ray.put`` once, resolved per
-    actor in ``__init__``) or a ``Dataset[doc_id, mapping_json]`` from
-    :func:`plan_mappings_ds`. For a Dataset the broadcast is SIZE-GATED:
-    ≤ ``broadcast_limit`` mappings are collected and broadcast (bounded
-    driver memory, one ``ray.put``); above the bound the mapping side is
-    hash-joined to docs on doc_id via a coarse-shard co-partition (both
-    sides stamped with ``hash(doc_id) % num_shards``, one shuffle, the
-    in-shard task builds a local dict and extracts; ``num_shards``
-    defaults to ``default_num_shards()``) — no driver materialization of
-    a corpus-scaled side."""
-    import ray
-
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        concurrency = (1, max(2, cpus))
-
-    if isinstance(mappings, ray.data.Dataset):
-        # a LAZY mapping side would run the planner twice (once for the
-        # size-gate count, once for the collect or shard join) —
-        # materialize ONCE; blocks stay in the object store
-        mappings = mappings.materialize()
-        n_mappings = mappings.count()
-        if n_mappings > broadcast_limit:
-            return _extract_mapped_shardjoin(
-                docs, mappings, config, num_shards=num_shards
-            )
-        import json
-
-        collected: dict = {}
-        for batch in mappings.iter_batches(batch_format="pyarrow"):
-            for doc_id, mj in zip(
-                batch.column("doc_id").to_pylist(),
-                batch.column("mapping_json").to_pylist(),
-            ):
-                collected[doc_id] = json.loads(mj)
-        mappings = collected
-
-    return docs.map_batches(
-        SpanExtractor,
-        fn_constructor_kwargs={
-            "config": config or ExtractConfig(),
-            "mappings": ray.put(mappings),
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
-
-
-def _extract_mapped_shardjoin(
-    docs: ray.data.Dataset,
-    mappings: ray.data.Dataset,
-    config: Optional[ExtractConfig] = None,
-    num_shards: Optional[int] = None,
-) -> ray.data.Dataset:
-    """Scale path for mapped extraction: co-partition docs and mappings on
-    ``hash(doc_id) % num_shards`` (one union + one coarse-shard groupby —
-    the same O(num_shards)-scheduling shape as stages/shuffle.groupby_apply),
-    then build the per-shard ``{doc_id: mapping}`` dict in-task and run the
-    extractor over that shard's docs. Neither side touches the driver."""
+    ``mappings`` is either a ``{doc_id: mapping}`` dict or a
+    ``Dataset[doc_id, mapping_json]`` from :func:`plan_mappings_ds`. Each
+    doc's ``mapping_json`` is attached by a left ``hash_join`` on doc_id
+    (stages/joins.py: broadcast up to ``broadcast_limit`` mappings and
+    its byte bound, a co-partition join at ``num_shards`` above them),
+    and the extractor runs in the join task on the joined batch, so a
+    corpus-scaled mapping side never reaches the driver."""
     import json
 
-    import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
-    from ..schema import SPANS_OUT_SCHEMA
-    from ..stages.shuffle import default_num_shards
+    from ..stages.joins import hash_join
 
-    cfg = config or ExtractConfig()
-    if num_shards is None:
-        num_shards = default_num_shards()
-
-    def _shard_of(batch: pa.Table) -> pa.Array:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(np.asarray(ids)) % np.uint64(num_shards)
-        return pa.array(h.astype(np.int32))
-
-    def stamp_docs(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
+    if isinstance(mappings, dict):
+        mappings = pa.table(
             {
-                "__shard": _shard_of(batch),
-                "doc_id": batch.column("doc_id"),
-                "spans": batch.column("spans"),
-                "mapping_json": pa.nulls(n, pa.string()),
+                "doc_id": pa.array(list(mappings), pa.string()),
+                "mapping_json": pa.array(
+                    [json.dumps(m) for m in mappings.values()], pa.string()
+                ),
             }
         )
-
-    def stamp_maps(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        from ..schema import SPAN_STRUCT
-
-        return pa.table(
-            {
-                "__shard": _shard_of(batch),
-                "doc_id": batch.column("doc_id"),
-                "spans": pa.nulls(n, pa.list_(SPAN_STRUCT)),
-                "mapping_json": batch.column("mapping_json"),
-            }
-        )
-
-    unioned = docs.map_batches(stamp_docs, batch_format="pyarrow").union(
-        mappings.map_batches(stamp_maps, batch_format="pyarrow")
-    )
-
-    def run_shard(shard: pa.Table) -> pa.Table:
-        is_map = pc.is_valid(shard.column("mapping_json"))
-        maps_tbl = shard.filter(is_map)
-        docs_tbl = shard.filter(pc.invert(is_map))
-        local = {
-            d: json.loads(m)
-            for d, m in zip(
-                maps_tbl.column("doc_id").to_pylist(),
-                maps_tbl.column("mapping_json").to_pylist(),
-            )
-        }
-        if docs_tbl.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], t.type) for t in SPANS_OUT_SCHEMA],
-                schema=SPANS_OUT_SCHEMA,
-            )
-        extractor = SpanExtractor(cfg, mappings=local)
-        return extractor(docs_tbl.select(["doc_id", "spans"]))
-
-    return (
-        unioned.repartition(num_shards)
-        .groupby("__shard")
-        .map_groups(run_shard, batch_format="pyarrow")
+    return hash_join(
+        docs,
+        mappings,
+        "doc_id",
+        "doc_id",
+        ["mapping_json"],
+        how="left",
+        broadcast_limit=broadcast_limit,
+        num_shards=num_shards,
+        batch_size=batch_size,
+        post=worker_cached(SpanExtractor, config=config or ExtractConfig()),
     )
 
 
@@ -521,7 +347,6 @@ def extract_spans_windowed(
     config: Optional[ExtractConfig] = None,
     window_spans: int = 256,
     batch_size: int = 32,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """split_pages analogue (SURVEY.md S7, readers/split_pages.py:87-138):
     fan each doc out into span windows, extract windows independently,
@@ -531,7 +356,7 @@ def extract_spans_windowed(
     sequence is bit-identical to unwindowed extraction (the reference's
     page-batch splits can cut tables at batch boundaries; deferring the
     cut until the run closes removes that artifact). One giant doc no
-    longer serializes one actor — its windows extract in parallel — which
+    longer serializes one task — its windows extract in parallel — which
     is the long-doc skew remedy the north rule asks for."""
     import pyarrow as pa
 
@@ -564,7 +389,6 @@ def extract_spans_windowed(
         docs.map_batches(explode, batch_format="pyarrow"),
         config=config,
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
     def restamp(group: pa.Table) -> pa.Table:
@@ -598,26 +422,3 @@ def extract_spans_windowed(
 
     return groupby_apply(stamped, "base_doc", per_doc, batch_format="pyarrow")
 
-
-def spans_kind_stats(spans: ray.data.Dataset) -> ray.data.Dataset:
-    """Tiny sanity aggregate: span counts by kind (pre-aggregated inside
-    map_batches before the small groupby — the partial-agg pattern)."""
-
-    def partial(batch):
-        import pyarrow as pa
-
-        counts = pc.value_counts(batch.column("kind"))
-        return pa.table(
-            {
-                "kind": counts.field("values"),
-                "partial_count": pc.cast(counts.field("counts"), pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    return (
-        spans.map_batches(partial, batch_format="pyarrow")
-        .groupby("kind")
-        .aggregate(Sum("partial_count", alias_name="n"))
-    )

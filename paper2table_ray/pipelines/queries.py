@@ -784,7 +784,7 @@ def q_global_stats(sf_dir: str):
 
 
 def q_media_features(sf_dir: str):
-    """Multimodal image actor-pool stage over the SQL-buildable media
+    """Multimodal image feature stage over the SQL-buildable media
     manifest (one media row per document, ref = md5-derived). DuckDB-
     oracled: the stub decoder's width/height are modular arithmetic on an
     md5 seed the oracle reproduces with ``md5_number_upper``. The feature
@@ -965,7 +965,7 @@ def q_extract_mapped(sf_dir: str):
     (oracle_dumps.ensure_expected_mapped_spans_dump): deterministic
     planner stub produces per-doc column mappings as a ``Dataset`` side
     table (no driver materialization of the mapping set —
-    extract_spans_mapped size-gates broadcast vs doc_id hash join);
+    extract_spans_mapped attaches it with a doc_id hash_join);
     mapped extraction applies header drop + ordinal select + rename.
     The two consumers each stream their OWN synthesis (deterministic per
     doc) instead of materializing the docs corpus."""
@@ -1585,7 +1585,7 @@ def q_token_chunks(sf_dir: str):
 
 def q_curate_docs(sf_dir: str):
     """Flagship curation funnel (pipelines/curate.py): features + quality
-    (vectorized) → language ID (actor pool) → lang/quality filters →
+    (vectorized) → language ID (worker-cached) → lang/quality filters →
     exact-dedup survivor semi-join. Every component's semantics are
     replicated exactly in the composed DuckDB oracle."""
     from .curate import curate_pipeline

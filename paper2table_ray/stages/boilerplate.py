@@ -16,7 +16,8 @@ segmentation + link-density & length heuristics):
    ``max_link_density``.
 
 Pure function of the input string → deterministic and unit-testable; hosted
-inside the extraction actor pool (compiled regexes are per-actor state).
+inside the worker-cached span extractor (compiled regexes are per-worker
+state).
 """
 
 from __future__ import annotations

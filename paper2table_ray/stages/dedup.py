@@ -245,7 +245,6 @@ def minhash_lsh_pairs(
     bands: int = 16,
     shingle_k: int = 3,
     exact_verify: bool = True,
-    concurrency=(1, 8),
     num_shards: int | None = None,
     max_bucket_size: int = 256,
     broadcast_pair_limit: int = 2_000_000,
@@ -273,8 +272,7 @@ def minhash_lsh_pairs(
     rows_per_band = num_perm // bands
     # MinHasher state (permutation coefficient arrays) is cheap → task
     # pool + worker-local cache instead of an actor pool (no spin-up;
-    # stages/workercache.py). ``concurrency`` is kept for signature
-    # compatibility; Ray sizes the task pool itself.
+    # stages/workercache.py); Ray sizes the task pool itself.
     feats = docs.map_batches(
         worker_cached(
             MinHasher,

@@ -23,16 +23,17 @@ Output contract (the correctness invariant is span-sequence equality on
                                      ``row`` span per surviving row (TAB-
                                      joined values in column order)
 
-``SpanExtractor`` is a callable class — in Ray Data it is hosted as an actor
-pool via ``map_batches(SpanExtractor, fn_constructor_kwargs=...,
-batch_format="pyarrow", concurrency=N)`` so the per-worker state (compiled
-regexes, hint set, transformer chain, boilerplate stripper) is built once
-per actor (SURVEY.md §2.3).
+``SpanExtractor`` is a callable class — in Ray Data it runs as a task-pool
+stage via ``map_batches(worker_cached(SpanExtractor, config=cfg))``
+(stages/workercache.py), so the per-worker state (compiled regexes, hint
+set, transformer chain, boilerplate stripper) is built once per worker
+process (SURVEY.md §2.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import pyarrow as pa
@@ -55,9 +56,10 @@ import re as _re
 _MULTISPACE_RE = _re.compile(r" {2,}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtractConfig:
-    """Flagship extraction configuration.
+    """Flagship extraction configuration. Frozen, so that it is hashable
+    and can key the worker cache.
 
     ``filter_title_rows`` and ``filter_empty_rows`` mirror the reference's
     default-on pretransformers (__main__.py:679-688); the other two are the
@@ -95,12 +97,12 @@ class ExtractConfig:
 
 
 class SpanExtractor:
-    """Actor-pool batch UDF: docs batch (DOC_SCHEMA) → spans batch
-    (SPANS_OUT_SCHEMA).
+    """Batch UDF: docs batch (DOC_SCHEMA, plus an optional ``mapping_json``
+    column) → spans batch (SPANS_OUT_SCHEMA).
 
-    ``mappings``: optional ``{doc_id: mapping}`` side dict (or a Ray
-    ObjectRef to one — resolved ONCE per actor here in ``__init__``, the
-    broadcast-join pattern, SURVEY.md J6/ST6). A mapping mirrors the
+    ``mapping_json``: per-doc mapping JSON, null for docs without one;
+    mapped extraction attaches it with a doc_id join
+    (pipelines/extract.extract_spans_mapped). A mapping mirrors the
     reference's LLM-produced ``TablesMapping`` (mapping.py:19-43):
     ``{"column_mappings": {ordinal(str|int): name}, "header_mode":
     "all_pages" | "first_page_only" | "none"}`` — mapped extraction
@@ -112,17 +114,8 @@ class SpanExtractor:
     (SURVEY.md §4 stragglers row; reference analogue: warn-continue +
     partial writes, __main__.py:428-440)."""
 
-    def __init__(
-        self,
-        config: Optional[ExtractConfig] = None,
-        mappings=None,
-    ):
+    def __init__(self, config: Optional[ExtractConfig] = None):
         self.config = config or ExtractConfig()
-        if mappings is not None and not isinstance(mappings, dict):
-            import ray as _ray
-
-            mappings = _ray.get(mappings)
-        self.mappings = mappings or {}
         self.hints_set = frozenset(self.config.hints)
         self.stripper = BoilerplateStripper(
             min_text_len=self.config.min_text_len,
@@ -358,9 +351,13 @@ class SpanExtractor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
         spans_col = batch.column("spans").to_pylist()
+        if "mapping_json" in batch.column_names:
+            maps_col = batch.column("mapping_json").to_pylist()
+        else:
+            maps_col = [None] * batch.num_rows
         out_doc, out_idx, out_kind, out_text, out_ref = [], [], [], [], []
-        for doc_id, spans in zip(doc_ids, spans_col):
-            mapping = self.mappings.get(doc_id)
+        for doc_id, spans, mapping_json in zip(doc_ids, spans_col, maps_col):
+            mapping = json.loads(mapping_json) if mapping_json else None
             try:
                 extracted = self.extract_doc(spans or [], mapping)
             except Exception as exc:  # quarantine, don't fail the task

@@ -11,10 +11,12 @@ plan by measuring the build side:
   batch with ``np.searchsorted`` over the sorted key array (no Python
   dict, no per-row loop). Unknown probe keys follow ``how``: ``"inner"``
   drops them (SQL inner-join semantics), ``"left"`` null-fills.
-- build side > ``broadcast_limit`` → coarse-shard co-partition join:
-  both sides stamped with ``hash(key) % num_shards``, one union + one
-  O(num_shards) groupby shuffle, exact in-shard ``pd.merge``. Neither
-  side touches the driver.
+- build side > ``broadcast_limit`` rows or > ``BROADCAST_BYTE_LIMIT``
+  bytes → co-partition join: each side is stamped with a side flag, the
+  right key is written under the left key's name, and the union goes
+  through ``stages/shuffle.groupby_apply_table`` on that key; each shard
+  task runs an exact ``pd.merge`` of its two sides. Neither side touches
+  the driver.
 
 ``post`` (optional) runs on each joined batch INSIDE the join task — use
 it to fuse a partial aggregation so the fat joined intermediate never
@@ -23,8 +25,7 @@ BASELINE.md).
 
 Reference analogue: the mapping/metadata broadcast joins of
 paper2table (J6, src/paper2table/readers/hybrid.py) generalized to
-relational fact⨝dim; the shard path reuses the coarse-shard shape of
-stages/shuffle.groupby_apply.
+relational fact⨝dim.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Union
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
 
-_SHARD = "__jshard"
 _SIDE = "__jside"
 
 # build sides under broadcast_limit ROWS but over this many BYTES take the
@@ -89,10 +88,6 @@ def hash_join(
     if how not in ("inner", "left"):
         raise ValueError(f"how={how!r}: expected 'inner' or 'left'")
 
-    if num_shards is None:
-        from .shuffle import default_num_shards
-
-        num_shards = default_num_shards()
     if isinstance(right, ray.data.Dataset):
         # a LAZY right side would execute twice (count() for the size
         # gate, then the collect or the shard shuffle); materialize ONCE
@@ -100,18 +95,16 @@ def hash_join(
         # holds refs only, and both downstream paths reuse them
         right = right.materialize()
     small = _to_arrow_table(right, limit=broadcast_limit)
-    if small is not None and small.nbytes > BROADCAST_BYTE_LIMIT:
-        # row count under the bound but WIDE rows: a multi-GB build side
-        # would be ray.put once per job AND pandas-collected per probe
-        # task on the duplicate-key path — route to the shard join on
-        # actual bytes, not row count
-        if not isinstance(right, ray.data.Dataset):
-            right = ray.data.from_arrow(small)
-        small = None
-    if small is not None:
+    # a build side under the row bound but over the byte bound (WIDE
+    # rows) also takes the shard join: a multi-GB side would be ray.put
+    # once per job AND pandas-collected per probe task on the
+    # duplicate-key path
+    if small is not None and small.nbytes <= BROADCAST_BYTE_LIMIT:
         return _broadcast_join(
             left, small, left_key, right_key, right_columns, how, batch_size, post
         )
+    if isinstance(right, pa.Table):
+        right = ray.data.from_arrow(right)
     return _shard_join(
         left, right, left_key, right_key, right_columns, how, num_shards, post
     )
@@ -199,75 +192,50 @@ def _shard_join(
     right_key: str,
     right_columns: List[str],
     how: str,
-    num_shards: int,
+    num_shards: Optional[int],
     post: Optional[Callable[[pa.Table], pa.Table]],
 ) -> ray.data.Dataset:
-    left_cols = [c for c in left.schema().names]
-    right_sel = [right_key, *[c for c in right_columns if c != right_key]]
+    from .shuffle import groupby_apply_table
 
-    right = right.select_columns(right_sel)
-    _right_schema = right.schema()
-    _right_types = {
-        n: t for n, t in zip(_right_schema.names, _right_schema.types)
-    }
-    _left_schema = left.schema()
-    _left_types = {n: t for n, t in zip(_left_schema.names, _left_schema.types)}
-
-    def _hash_shard(arr: np.ndarray) -> np.ndarray:
-        return (pd.util.hash_array(np.asarray(arr)) % np.uint64(num_shards)).astype(
-            np.int32
-        )
+    left_schema = left.schema()
+    left_cols = list(left_schema.names)
+    left_types = dict(zip(left_cols, left_schema.types))
+    payload = [c for c in right_columns if c not in (right_key, left_key)]
+    right = right.select_columns([right_key, *payload])
+    right_types = dict(zip(right.schema().names, right.schema().types))
+    # both sides share one schema: the side flag, every left column, then
+    # the payload; the right key is written under the left key's name, so
+    # the exchange co-locates equal keys whatever the two names are
+    out_schema = pa.schema(
+        [(c, left_types[c]) for c in left_cols]
+        + [(c, right_types[c]) for c in payload]
+    )
 
     def stamp_left(batch: pa.Table) -> pa.Table:
-        keys = batch.column(left_key).to_numpy(zero_copy_only=False)
-        cols = {
-            _SHARD: pa.array(_hash_shard(keys)),
-            _SIDE: pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-        }
-        for c in left_cols:
-            cols[c] = batch.column(c)
-        for c in right_sel:
-            if c not in cols:
-                cols[c] = pa.nulls(batch.num_rows, _right_types[c])
+        n = batch.num_rows
+        cols = {_SIDE: pa.array(np.zeros(n, dtype=np.int8))}
+        cols.update((c, batch.column(c)) for c in left_cols)
+        cols.update((c, pa.nulls(n, right_types[c])) for c in payload)
         return pa.table(cols)
 
     def stamp_right(batch: pa.Table) -> pa.Table:
-        keys = batch.column(right_key).to_numpy(zero_copy_only=False)
-        cols = {
-            _SHARD: pa.array(_hash_shard(keys)),
-            _SIDE: pa.array(np.ones(batch.num_rows, dtype=np.int8)),
-        }
-        for c in left_cols:
-            cols[c] = pa.nulls(batch.num_rows, _left_types[c])
-        for c in right_sel:
-            if c not in cols:
-                cols[c] = batch.column(c)
+        n = batch.num_rows
+        cols = {_SIDE: pa.array(np.ones(n, dtype=np.int8))}
+        cols.update((c, pa.nulls(n, left_types[c])) for c in left_cols)
+        cols[left_key] = pc.cast(batch.column(right_key), left_types[left_key])
+        cols.update((c, batch.column(c)) for c in payload)
         return pa.table(cols)
 
     unioned = left.map_batches(stamp_left, batch_format="pyarrow").union(
         right.map_batches(stamp_right, batch_format="pyarrow")
     )
 
-    out_right_cols = [c for c in right_columns if c != left_key]
-
     def run_shard(shard: pa.Table) -> pa.Table:
-        side = shard.column(_SIDE).to_numpy(zero_copy_only=False)
-        ldf = (
-            shard.filter(pa.array(side == 0))
-            .select(left_cols)
-            .to_pandas()
-        )
-        rdf = (
-            shard.filter(pa.array(side == 1)).select(right_sel).to_pandas()
-        )
-        merged = ldf.merge(rdf, how=how, left_on=left_key, right_on=right_key)
-        if right_key != left_key and right_key in merged.columns:
-            merged = merged.drop(columns=[right_key])
-        out = pa.Table.from_pandas(merged, preserve_index=False)
+        is_right = pc.equal(shard.column(_SIDE), 1)
+        ldf = shard.filter(pc.invert(is_right)).select(left_cols).to_pandas()
+        rdf = shard.filter(is_right).select([left_key, *payload]).to_pandas()
+        merged = ldf.merge(rdf, how=how, on=left_key)
+        out = pa.Table.from_pandas(merged, schema=out_schema, preserve_index=False)
         return post(out) if post is not None else out
 
-    return (
-        unioned.repartition(num_shards)
-        .groupby(_SHARD)
-        .map_groups(run_shard, batch_format="pyarrow")
-    )
+    return groupby_apply_table(unioned, left_key, run_shard, num_shards=num_shards)

@@ -1,16 +1,17 @@
 """Multimodal columns: opaque binary payloads + typed metadata.
 
 Images/audio/video are opaque ``binary`` columns with sibling metadata;
-decode / feature-extract / resize / frame-sample are actor-pool
-``map_batches`` stages. The actual codec libraries (Pillow, ffmpeg, …) are
-NOT in this container, so the decoder backends are stubbed behind a
+decode / feature-extract / resize / frame-sample are worker-cached
+``map_batches`` task stages (stages/workercache.py). The actual codec
+libraries (Pillow, ffmpeg, …) are NOT in this container, so the decoder
+backends are stubbed behind a
 clearly-marked seam (``NotImplementedError`` for the real path, a
 deterministic fake for tests) — the Ray-side plumbing (schemas, batch
-sizing, actor signature, output layout) is real and tested.
+sizing, stage signature, output layout) is real and tested.
 
 Scale notes: media rows are large → small ``batch_size`` (payload bytes
-dominate, so a batch of 8-32 rows keeps batch × concurrency inside worker
-heaps); the object store handles spill. Never convert media batches to
+dominate, so a batch of 8-32 rows per task keeps each worker's heap
+small); the object store handles spill. Never convert media batches to
 pandas (object-dtype copies); stay in Arrow.
 """
 
@@ -291,21 +292,10 @@ def media_manifest_dataset(sf_dir: str):
     )
 
 
-def _feature_stage(
-    media_rows, cls, ctor_kwargs, batch_size, use_actors, concurrency
-):
+def _feature_stage(media_rows, cls, ctor_kwargs, batch_size):
     """Stage wiring shared by the three media ops: the deterministic stub
-    backends are CHEAP state → default task pool + worker-local cache
-    (stages/workercache.py, no pool spin-up); ``use_actors=True`` is the
-    shape for REAL codec backends (expensive decoder init)."""
-    if use_actors:
-        return media_rows.map_batches(
-            cls,
-            fn_constructor_kwargs=ctor_kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    backends are CHEAP state → task pool + worker-local cache
+    (stages/workercache.py, no pool spin-up)."""
     from .workercache import worker_cached
 
     return media_rows.map_batches(
@@ -315,55 +305,35 @@ def _feature_stage(
     )
 
 
-def image_features(
-    media_rows, target_size: int = 32, concurrency=(1, 4), use_actors=False
-):
+def image_features(media_rows, target_size: int = 32):
     """MEDIA_SCHEMA rows → image features (small batches — payload-heavy
     rows, see module docstring)."""
     return _feature_stage(
-        media_rows,
-        ImageFeatureExtractor,
-        {"target_size": target_size},
-        16,
-        use_actors,
-        concurrency,
+        media_rows, ImageFeatureExtractor, {"target_size": target_size}, 16
     )
 
 
-def audio_features(media_rows, concurrency=(1, 4), use_actors=False):
+def audio_features(media_rows):
     """MEDIA_SCHEMA rows → audio features (duration/RMS/zero-crossings)."""
-    return _feature_stage(
-        media_rows, AudioFeatureExtractor, {}, 16, use_actors, concurrency
-    )
+    return _feature_stage(media_rows, AudioFeatureExtractor, {}, 16)
 
 
-def video_frames(media_rows, stride: int = 5, concurrency=(1, 4), use_actors=False):
+def video_frames(media_rows, stride: int = 5):
     """MEDIA_SCHEMA rows → per-sampled-frame features (flat_map shape:
     one output row per frame)."""
-    return _feature_stage(
-        media_rows,
-        VideoFrameSampler,
-        {"stride": stride},
-        8,
-        use_actors,
-        concurrency,
-    )
+    return _feature_stage(media_rows, VideoFrameSampler, {"stride": stride}, 8)
 
 
-def media_feature_pipeline(spans, target_size: int = 32, concurrency=(1, 4)):
-    """media spans → MEDIA_SCHEMA → actor-pool feature extraction."""
-    return image_features(
-        media_rows_from_spans(spans), target_size=target_size, concurrency=concurrency
-    )
+def media_feature_pipeline(spans, target_size: int = 32):
+    """media spans → MEDIA_SCHEMA → image feature extraction."""
+    return image_features(media_rows_from_spans(spans), target_size=target_size)
 
 
-def audio_feature_pipeline(spans, concurrency=(1, 4)):
+def audio_feature_pipeline(spans):
     """media spans → audio features."""
-    return audio_features(media_rows_from_spans(spans), concurrency=concurrency)
+    return audio_features(media_rows_from_spans(spans))
 
 
-def video_frame_pipeline(spans, stride: int = 5, concurrency=(1, 4)):
+def video_frame_pipeline(spans, stride: int = 5):
     """media spans → per-sampled-frame features."""
-    return video_frames(
-        media_rows_from_spans(spans), stride=stride, concurrency=concurrency
-    )
+    return video_frames(media_rows_from_spans(spans), stride=stride)

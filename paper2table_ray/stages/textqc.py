@@ -83,8 +83,8 @@ def add_text_features(batch: pa.Table) -> pa.Table:
 
 
 class LanguageId:
-    """Stopword-hit language heuristic. Callable class → actor pool
-    (stopword sets + compiled regex built once per actor)."""
+    """Stopword-hit language heuristic. Callable class → worker-cached
+    task stage (stopword sets + compiled regex built once per worker)."""
 
     def __init__(self):
         self.token_re = TOKEN_RE
@@ -122,8 +122,11 @@ def add_quality_score(batch: pa.Table) -> pa.Table:
         )
     length_score = np.clip(token_count / 100.0, 0.0, 1.0)
     stop_score = np.clip(stop_ratio / 0.4, 0.0, 1.0)
-    punct_score = 1.0 - np.clip(punct_ratio / 0.25, 0.0, 1.0)
-    score = (length_score + stop_score + punct_score) / 3.0
+    punct_penalty = np.clip(punct_ratio / 0.25, 0.0, 1.0)
+    # summed left to right as the curate_docs oracle SQL does: grouping
+    # ``(1.0 - punct_penalty)`` first moves the last bit of some scores,
+    # enough to flip a doc across a ``min_quality`` threshold
+    score = (length_score + stop_score + 1.0 - punct_penalty) / 3.0
     return batch.append_column("quality_score", pa.array(score))
 
 

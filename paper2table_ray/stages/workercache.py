@@ -4,9 +4,10 @@ Ray reuses worker processes across tasks, so a module-level cache gives a
 plain ``map_batches(fn)`` TASK stage the same init-once guarantee as an
 actor pool — minus the pool's spawn+import latency (~10s for a 32-pool on
 this box, BASELINE.md). Use for CHEAP state (compiled regexes, stopword
-sets); keep true actor pools for genuinely expensive state (models,
-external processes). Same pattern as pipelines/extract.py's
-``_extract_batch_cached``.
+sets, the span extractor). An actor pool is the shape for genuinely
+expensive state (models, external processes), which no stage here holds.
+This is the package's one worker-state cache: extraction, curation,
+dedup, ANN and the media stages all use it.
 """
 
 from __future__ import annotations

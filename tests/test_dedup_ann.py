@@ -60,6 +60,39 @@ class TestTextQC:
         assert all(0.0 <= s <= 1.0 for s in scores)
         assert scores[0] > scores[2]
 
+    # doc 463 of the perfbench curate corpus at seed 973: 28 tokens, no
+    # English stopwords, punctuation ratio 0.02 — its score sits on the
+    # 0.4 threshold, and a different summation order moves its last bit
+    THRESHOLD_DOC = (
+        "De neadgbsn fgpt la ludc que se para por vyajpdlwad ejeuatt el por "
+        "que nyvofrbm. Tcum emnfva del dmjm un dbiysrorpe. Vviv es la para "
+        "jhdjog las titbg."
+    )
+
+    def test_quality_score_bit_equal_to_oracle(self):
+        import duckdb
+
+        from paper2table_ray.pipelines.queries import ORACLE_SQL
+
+        sql = ORACLE_SQL["curate_docs"]
+        scored_sql = sql[: sql.index("), survivors AS")] + ") SELECT quality_score FROM scored"
+        documents = pa.table({"doc_id": [463], "text": [self.THRESHOLD_DOC]})
+        con = duckdb.connect()
+        con.register("documents", documents)
+        (oracle,) = con.execute(scored_sql).fetchone()
+        batch = tq.add_text_features(documents)
+        (engine,) = tq.add_quality_score(batch).column("quality_score").to_pylist()
+        assert engine == oracle
+        assert oracle < 0.4
+
+    def test_curate_drops_doc_below_threshold(self, ray_session):
+        from paper2table_ray.pipelines.curate import curate_pipeline
+
+        docs = ray.data.from_arrow(
+            pa.table({"doc_id": [463], "text": [self.THRESHOLD_DOC]})
+        )
+        assert curate_pipeline(docs, min_quality=0.4).count() == 0
+
     def test_winnow_sketch(self):
         a = tq.winnow_fingerprints("one two three four five six seven eight nine ten")
         b = tq.winnow_fingerprints("one two three four five six seven eight nine ten")

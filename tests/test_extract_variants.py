@@ -16,7 +16,7 @@ from paper2table_ray.pipelines.extract import (
     extract_spans,
     extract_spans_mapped,
     extract_spans_windowed,
-    plan_mappings,
+    plan_mappings_ds,
     synth_docs_dataset,
 )
 from paper2table_ray.schema import DOC_SCHEMA, SPAN_STRUCT
@@ -116,8 +116,6 @@ class TestMapped:
     def test_shardjoin_path_bit_identical_to_broadcast(self):
         # force the >broadcast_limit hash-join path and compare against the
         # broadcast path over the full sf corpus
-        from paper2table_ray.pipelines.extract import plan_mappings_ds
-
         docs = synth_docs_dataset(SF).materialize()
         mappings_ds = plan_mappings_ds(docs).materialize()
         broadcast = _spans_df(extract_spans_mapped(docs, mappings_ds))
@@ -126,26 +124,20 @@ class TestMapped:
         )
         pd.testing.assert_frame_equal(broadcast, joined)
 
-    def test_plan_mappings_ds_matches_dict_wrapper(self):
-        from paper2table_ray.pipelines.extract import plan_mappings_ds
-
-        docs = self._table_doc()
-        via_ds = {
-            r["doc_id"]: json.loads(r["mapping_json"])
-            for r in plan_mappings_ds(docs).take_all()
-        }
-        assert via_ds == plan_mappings(self._table_doc())
-        assert "docm" in via_ds
-
     def test_plan_mappings_cache_roundtrip(self, tmp_path):
-        docs = self._table_doc()
-        m1 = plan_mappings(docs, cache_dir=str(tmp_path))
+        def planned(docs):
+            return {
+                r["doc_id"]: json.loads(r["mapping_json"])
+                for r in plan_mappings_ds(docs, cache_dir=str(tmp_path)).take_all()
+            }
+
+        m1 = planned(self._table_doc())
         assert "docm" in m1
         assert os.path.exists(tmp_path / "docm.mapping.json")
         # poison the cache: a second plan must NOT re-invoke the planner
         poisoned = {"header_mode": "none", "column_mappings": {"1": "zzz"}}
         json.dump(poisoned, open(tmp_path / "docm.mapping.json", "w"))
-        m2 = plan_mappings(self._table_doc(), cache_dir=str(tmp_path))
+        m2 = planned(self._table_doc())
         assert m2["docm"] == poisoned
 
 

@@ -75,6 +75,19 @@ class TestHashJoin:
         )
         pd.testing.assert_frame_equal(bc, sh[bc.columns])
 
+    def test_shard_path_takes_an_arrow_build_side(self):
+        # an in-memory (pa.Table) build side over the row bound takes the
+        # shard join too
+        bc = _sorted_df(hash_join(_left_ds(), _right_tbl(), "k", "rk", ["name"]), "k")
+        sh = _sorted_df(
+            hash_join(
+                _left_ds(), _right_tbl(), "k", "rk", ["name"],
+                broadcast_limit=0, num_shards=4,
+            ),
+            "k",
+        )
+        pd.testing.assert_frame_equal(bc, sh[bc.columns])
+
     def test_shard_path_left_join(self):
         right_ds = ray.data.from_arrow(_right_tbl())
         out = _sorted_df(
@@ -92,6 +105,38 @@ class TestHashJoin:
         )
         assert out["k"].tolist() == list(range(10))
         assert out.loc[out["k"] == 5, "name"].isna().all()
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_shard_path_equal_key_names(self, how):
+        # both sides keyed on "doc_id": the shard path must keep the
+        # right side's key, or every match is dropped
+        left = ray.data.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array(range(10), pa.int64()),
+                    "v": pa.array([f"v{i}" for i in range(10)], pa.string()),
+                }
+            )
+        )
+        right = ray.data.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array([8, 0, 3, 1, 6], pa.int64()),
+                    "name": pa.array(["n8", "n0", "n3", "n1", "n6"], pa.string()),
+                }
+            )
+        )
+        bc = _sorted_df(hash_join(left, right, "doc_id", "doc_id", ["name"], how=how), "doc_id")
+        sh = _sorted_df(
+            hash_join(
+                left, right, "doc_id", "doc_id", ["name"],
+                how=how, broadcast_limit=0, num_shards=4,
+            ),
+            "doc_id",
+        )
+        assert len(bc) == (5 if how == "inner" else 10)
+        assert bc["name"].notna().sum() == 5
+        pd.testing.assert_frame_equal(bc, sh[bc.columns])
 
     def test_duplicate_build_keys_multiply(self):
         right = pa.table(

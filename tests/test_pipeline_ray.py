@@ -29,17 +29,6 @@ class TestExtractPipeline:
         docs = synth_docs_dataset(SF)
         assert docs.count() == 500
 
-    def test_kind_stats_aggregate(self):
-        from paper2table_ray.pipelines.extract import (
-            extract_pipeline,
-            spans_kind_stats,
-        )
-
-        stats = spans_kind_stats(extract_pipeline(SF)).to_pandas()
-        kinds = dict(zip(stats["kind"], stats["n"]))
-        assert kinds.get("row", 0) > 100
-        assert kinds.get("text", 0) > 500
-
     def test_size_buckets(self):
         from paper2table_ray.pipelines.extract import (
             add_size_buckets,

@@ -112,6 +112,26 @@ def test_embedding_cosine_dedup_pairs(ray_session):
     assert len(rows) > 1
 
 
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_hash_join_shard_path_equal_key_names(ray_session, how):
+    from paper2table_ray.stages.joins import hash_join
+
+    left = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(range(30), pa.int64()), "v": pa.array(range(30, 60))})
+    ).materialize()
+    right = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(range(0, 30, 3), pa.int64()), "name": [f"n{i}" for i in range(10)]})
+    ).materialize()
+    rows = _same_at_every_width(
+        lambda w: hash_join(
+            left, right, "doc_id", "doc_id", ["name"], how=how, broadcast_limit=0, num_shards=w
+        )
+    )
+    assert rows[0] == ["doc_id", "name", "v"]
+    assert len(rows) - 1 == (10 if how == "inner" else 30)
+    assert sum(r[1] is not None for r in rows[1:]) == 10
+
+
 def test_extract_spans_mapped_shardjoin(ray_session):
     from paper2table_ray.pipelines.extract import extract_spans_mapped, plan_mappings_ds
     from paper2table_ray.sources.synth import synth_docs_batch
