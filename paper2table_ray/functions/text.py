@@ -447,20 +447,6 @@ def normalize_str_list(values: list) -> list:
     return out
 
 
-def normalize_str_array(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
-    return pa.array(normalize_str_list(arr.to_pylist()), type=pa.string())
-
-
-def normalize_column_value_list(values: list) -> list:
-    out = []
-    for v in values:
-        if v is None:
-            out.append(None)
-        else:
-            out.append(normalize_column_value(v))
-    return out
-
-
 def normalize_column_name_list(values: list) -> list:
     out = []
     simple = _ASCII_SIMPLE_RE.match

@@ -16,16 +16,14 @@ parallelism inside one doc for zero extra shuffles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
 
 from .. import rowmodel as rm
 from ..schema import (
-    CELLS_SCHEMA,
     CellsTableBuilder,
     records_to_tablesfiles,
     table_to_doc_tablesfiles,
@@ -264,27 +262,33 @@ def merge_doc_sources(
     return merged
 
 
-def merge_cells_table(tbl: pa.Table, config: MergeConfig) -> pa.Table:
+def merge_docs(
+    tbl: pa.Table, config: MergeConfig
+) -> Iterator[Tuple[str, dict]]:
     """Whole-table merge kernel: the caller guarantees every doc's rows
     are present in ``tbl`` (one shuffle shard, or one lineage partition
-    file). Fused end-to-end: Arrow → per-doc trees in one decode with
-    dictionary-encoded metadata (no intermediate record dicts), in-place
-    normalize/stamp inside the merge engine (owns_rows), merged trees →
-    Arrow through flat column buffers (no output record dicts). The
+    file). Yields ``(doc_id, merged tree)`` in doc_id order for each doc
+    that has a merged tree. Arrow → per-doc trees in one decode with
+    dictionary-encoded metadata (no intermediate record dicts), then
+    in-place normalize/stamp inside the merge engine (owns_rows). The
     kernel's allocation rate is the composed pipeline's scaling limiter
     (BASELINE.md round 4) — every dropped per-row dict is memory
-    bandwidth returned to the other 31 cores."""
-    if tbl.num_rows == 0:
-        return CELLS_SCHEMA.empty_table()
+    bandwidth returned to the other cores."""
     # no table sort: sorting a nested-map table copies every buffer; the
-    # fused decoder sorts METADATA indices only (pc.sort_indices) and
-    # emits docs in sorted order for the same deterministic output the
-    # sorted per-group path produced
-    builder = CellsTableBuilder()
+    # decoder sorts METADATA indices only (pc.sort_indices) and emits
+    # docs in sorted order for deterministic output
     for doc_id, by_source in table_to_doc_tablesfiles(tbl):
         merged = merge_doc_sources(doc_id, by_source, config, owns_rows=True)
         if merged is not None:
-            builder.append_tablesfile(doc_id, MERGED_UUID, merged)
+            yield doc_id, merged
+
+
+def merge_cells_table(tbl: pa.Table, config: MergeConfig) -> pa.Table:
+    """``merge_docs`` encoded back to a cells table (source_uuid =
+    ``MERGED_UUID``)."""
+    builder = CellsTableBuilder()
+    for doc_id, merged in merge_docs(tbl, config):
+        builder.append_tablesfile(doc_id, MERGED_UUID, merged)
     return builder.build()
 
 

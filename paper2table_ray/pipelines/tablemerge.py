@@ -12,10 +12,12 @@ The full lifecycle of the reference's `tablemerge` CLI (SURVEY.md §3.2,
    __main__.py:113-143), with ``uuid_to_reader`` taken from each source's
    ``tables.metadata.json`` for the distinct-readers agreement;
 3. one coarse-sharded exchange on doc_id (stages/shuffle.py) whose shard
-   task merges its docs (``merge_cells_table``, pipelines/merge.py) and
-   writes each merged doc where it was merged (``resultset_writer``:
+   task merges its docs (``merge_docs``, pipelines/merge.py) and hands
+   each merged tree straight to the writer (``resultset_writer``:
    idempotent per-doc files + curation skip) — the shard already holds
-   every row of each of its docs, so no second exchange is needed;
+   every row of each of its docs, so no second exchange is needed, and
+   the merged trees are written as merged, with no Arrow encode/decode
+   between merge and write;
 4. ``tables.metadata.json`` is written once on the driver before the
    exchange, and the settings are persisted alongside
    (``settings.tablemerge.json``) after it, matching the reference's
@@ -40,7 +42,7 @@ from ..sources.tablesfile_json import (
 from ..stages.aligners import parse_column_aliases, parse_paper_aliases
 from ..stages.shuffle import groupby_apply_table
 from ..state.settings import MergeSettings
-from .merge import MergeConfig, merge_cells_table
+from .merge import MergeConfig, merge_docs
 
 
 def settings_to_config(
@@ -184,7 +186,7 @@ def run_tablemerge(
     )
     # reindex: an empty corpus collects to a frame with no columns
     summary = (
-        groupby_apply_table(cells, "doc_id", lambda t: write(merge_cells_table(t, cfg)))
+        groupby_apply_table(cells, "doc_id", lambda t: write(merge_docs(t, cfg)))
         .to_pandas()
         .reindex(columns=SUMMARY_COLUMNS)
     )

@@ -30,7 +30,7 @@ import pyarrow as pa
 import ray.data
 
 from .. import rowmodel as rm
-from ..schema import records_to_tablesfiles, table_to_row_records
+from ..schema import table_to_doc_tablesfiles
 
 _ROW_PALETTE_SIZE = 5
 
@@ -465,51 +465,34 @@ _PIECE_COLUMNS = ["doc_id", "name", "html", "toc_json"]
 
 def _render_pieces(cells: ray.data.Dataset, uuid_to_reader: Optional[dict]):
     """cells → Dataset[doc_id, name, html, toc_json]: one pre-rendered
-    section per (doc, source), produced inside the doc groupby."""
-    from ..stages.shuffle import groupby_apply
+    section per (doc, source), produced inside the doc exchange (one
+    decode per shard)."""
+    import json as _json
 
-    def per_doc(group: pa.Table) -> pd.DataFrame:
-        records = table_to_row_records(group)
-        if not records:
-            return pd.DataFrame(columns=_PIECE_COLUMNS)
-        doc_id = records[0]["doc_id"]
-        import json as _json
+    from ..stages.shuffle import groupby_apply_table
 
-        # one section per doc (merged resultsets have one source uuid;
-        # multi-source cells render per-source sub-papers)
-        tfs = records_to_tablesfiles(records)
-        htmls, tocs = [], []
-        for uuid, tf in tfs.items():
-            name = doc_id if len(tfs) == 1 else f"{doc_id} [{uuid}]"
-            # paper_i is stamped later (driver knows the global order) —
-            # use a placeholder token the driver rewrites
-            htmls.append((name, tf))
-        toc_manifest = [
-            {
-                "name": name,
-                "fragments": [
-                    {"idx": idx, "page": frag["page"]}
-                    for idx, table in enumerate(tf["tables"], 1)
-                    for frag in table["fragments"]
-                ],
-            }
-            for name, tf in htmls
-        ]
-        rendered = [
-            # NOTE: paper_i placeholder __PID__ replaced on the driver
-            build_paper_section("__PID__", name, tf, uuid_to_reader)
-            for name, tf in htmls
-        ]
-        return pd.DataFrame(
-            {
-                "doc_id": [doc_id] * len(rendered),
-                "name": [n for n, _ in htmls],
-                "html": rendered,
-                "toc_json": [_json.dumps(m) for m in toc_manifest],
-            }
-        )
+    def per_shard(tbl: pa.Table) -> pd.DataFrame:
+        out = []
+        for doc_id, tfs in table_to_doc_tablesfiles(tbl):
+            # one section per doc (merged resultsets have one source uuid;
+            # multi-source cells render per-source sub-papers)
+            for uuid, tf in tfs.items():
+                name = doc_id if len(tfs) == 1 else f"{doc_id} [{uuid}]"
+                toc = {
+                    "name": name,
+                    "fragments": [
+                        {"idx": idx, "page": frag["page"]}
+                        for idx, table in enumerate(tf["tables"], 1)
+                        for frag in table["fragments"]
+                    ],
+                }
+                # paper_i is stamped later (the driver knows the global
+                # order): __PID__ is a placeholder the driver rewrites
+                html = build_paper_section("__PID__", name, tf, uuid_to_reader)
+                out.append((doc_id, name, html, _json.dumps(toc)))
+        return pd.DataFrame(out, columns=_PIECE_COLUMNS)
 
-    return groupby_apply(cells, "doc_id", per_doc, batch_format="pyarrow")
+    return groupby_apply_table(cells, "doc_id", per_shard)
 
 
 def write_viewer_html(

@@ -178,15 +178,6 @@ def first_nonempty_text(value: ColumnValue) -> str:
     return ""
 
 
-def transliterate_value(value: ColumnValue) -> ColumnValue:
-    """tablesfile_merger.py:37-46 (unidecode → ascii_fold)."""
-    if isinstance(value, str):
-        return ascii_fold(value)
-    if isinstance(value, list):
-        return [vwa(ascii_fold(v["value"]), v["agreement_level"]) for v in value]
-    return value
-
-
 @_lru_cache(maxsize=65536)
 def _fold_cell_str(value: str) -> str:
     # normalize → transliterate composition, memoized: the merge cursor

@@ -29,6 +29,16 @@ agreement-level sentinel:
 The decode side restores the exact python union, so reference semantics that
 distinguish ``"x"`` from ``[{"value": "x", "agreement_level": 1}]`` (e.g.
 ``same_row`` dict equality, tablesfile_merger.py:49-55) survive a shuffle.
+
+One codec. ``CellsTableBuilder`` is the only encoder: trees go in through
+``append_tablesfile``, record dicts through ``rows_to_table``.
+``table_to_doc_tablesfiles`` is the only tree decoder: every per-doc
+consumer (merge, write, stats, CSV export, viewer) decodes a whole shard
+with it once. ``table_to_row_records`` decodes to flat record dicts for
+the record-level queries. The record-dict pair ``records_to_tablesfiles``
+/ ``tablesfile_to_records`` is the reference codec: production code uses
+it only in ``pipelines/merge.py:merge_doc_records``, the per-doc merge
+that the oracles and parity tests compare the fused path against.
 """
 
 from __future__ import annotations
@@ -121,84 +131,17 @@ def _pair(p) -> tuple:
     return p
 
 
-def encode_cells(cells: Dict[str, ColumnValue]) -> list:
-    return [(name, encode_cell(v)) for name, v in cells.items()]
-
-
-def decode_cells(entries: list) -> Dict[str, ColumnValue]:
-    return {name: decode_cell(pairs) for name, pairs in entries}
-
-
 # --- rows (python) ↔ cells table (arrow) -----------------------------------
-
-
-def _encode_cells_column(cell_dicts: List[Dict[str, ColumnValue]]) -> pa.Array:
-    """Flat-buffer encode of the cells column (inverse of
-    ``_decode_cells_column``): builds the map's offset/key/item buffers
-    in flat python lists and assembles the nested array in three
-    ``pa.array`` calls instead of boxing one list-of-list-of-tuples per
-    row for the generic converter."""
-    map_offsets = [0]
-    keys: List[str] = []
-    item_offsets = [0]
-    flat_vals: List[str] = []
-    flat_lvls: List[int] = []
-    n_pairs = 0
-    n_cells = 0
-    for cells in cell_dicts:
-        for name, value in cells.items():
-            keys.append(name)
-            if value is None:
-                flat_vals.append("")
-                flat_lvls.append(NONE_SENTINEL)
-                n_pairs += 1
-            elif isinstance(value, str):
-                flat_vals.append(value)
-                flat_lvls.append(PLAIN_STRING_SENTINEL)
-                n_pairs += 1
-            else:
-                for v in value:
-                    flat_vals.append(v["value"])
-                    flat_lvls.append(v["agreement_level"])
-                n_pairs += len(value)
-            item_offsets.append(n_pairs)
-            n_cells += 1
-        map_offsets.append(n_cells)
-
-    structs = pa.StructArray.from_arrays(
-        [
-            pa.array(flat_vals, type=pa.string()),
-            pa.array(flat_lvls, type=pa.int32()),
-        ],
-        names=["value", "agreement_level"],
-    )
-    items = pa.ListArray.from_arrays(
-        pa.array(item_offsets, type=pa.int32()), structs
-    )
-    return pa.MapArray.from_arrays(
-        pa.array(map_offsets, type=pa.int32()),
-        pa.array(keys, type=pa.string()),
-        items,
-    )
 
 
 def rows_to_table(records: List[dict]) -> pa.Table:
     """``records``: dicts with the CELLS_SCHEMA fields, ``cells`` as a
-    python dict of ColumnValue and the metadata split out."""
-    arrays = []
-    for name in CELLS_SCHEMA.names:
-        if name == "cells":
-            arrays.append(
-                _encode_cells_column([rec["cells"] for rec in records])
-            )
-        else:
-            arrays.append(
-                pa.array(
-                    [rec.get(name) for rec in records],
-                    type=CELLS_SCHEMA.field(name).type,
-                )
-            )
-    return pa.Table.from_arrays(arrays, schema=CELLS_SCHEMA)
+    python dict of ColumnValue and the metadata split out (missing
+    metadata fields encode as null)."""
+    builder = CellsTableBuilder()
+    for rec in records:
+        builder.append_record(rec)
+    return builder.build()
 
 
 def _decode_cells_column(ca: pa.Array) -> List[dict]:
@@ -313,9 +256,10 @@ def _int_column(col) -> list:
 
 
 def table_to_doc_tablesfiles(table: pa.Table) -> List[tuple]:
-    """Fused ``table_to_row_records`` + per-doc ``records_to_tablesfiles``:
-    CELLS_SCHEMA Arrow table → ``[(doc_id, {source_uuid: tablesfile})]``
-    with docs in sorted order and records in
+    """The tree decoder (fused ``table_to_row_records`` + per-doc
+    ``records_to_tablesfiles``): CELLS_SCHEMA Arrow table →
+    ``[(doc_id, {source_uuid: tablesfile})]`` with docs in sorted order
+    and records in
     ``(source_uuid or "", table_idx or 0, fragment_idx or 0, pos or 0)``
     order inside each doc — element-for-element the tree the two-step path
     builds, without materializing the intermediate 11-key record dict, the
@@ -397,10 +341,13 @@ def table_to_doc_tablesfiles(table: pa.Table) -> List[tuple]:
 
 
 class CellsTableBuilder:
-    """Fused ``tablesfile_to_records`` + ``rows_to_table``: appends merged
-    tablesfiles straight into the flat per-column buffers that
-    ``_encode_cells_column`` assembles, skipping the intermediate
-    11-key record dict per output row."""
+    """The cells encoder: rows go straight into flat per-column python
+    buffers (map offsets, keys, item offsets, value/level pairs) and
+    ``build`` assembles the nested ``cells`` array in three ``pa.array``
+    calls instead of boxing one list-of-list-of-tuples per row for the
+    generic converter. ``append_tablesfile`` takes a tree (no
+    intermediate 11-key record dict per row); ``append_record`` takes one
+    record dict (``rows_to_table``)."""
 
     def __init__(self) -> None:
         self._meta: Dict[str, list] = {
@@ -411,8 +358,32 @@ class CellsTableBuilder:
         self._item_offsets = [0]
         self._flat_vals: List[str] = []
         self._flat_lvls: List[int] = []
-        self._n_pairs = 0
-        self._n_cells = 0
+
+    def _append_cells(self, cells: Dict[str, ColumnValue]) -> None:
+        """One row's cells map → the key, item-offset and pair buffers."""
+        keys = self._keys
+        item_offsets = self._item_offsets
+        flat_vals = self._flat_vals
+        flat_lvls = self._flat_lvls
+        for name, value in cells.items():
+            keys.append(name)
+            if value is None:
+                flat_vals.append("")
+                flat_lvls.append(NONE_SENTINEL)
+            elif isinstance(value, str):
+                flat_vals.append(value)
+                flat_lvls.append(PLAIN_STRING_SENTINEL)
+            else:
+                for v in value:
+                    flat_vals.append(v["value"])
+                    flat_lvls.append(v["agreement_level"])
+            item_offsets.append(len(flat_vals))
+        self._map_offsets.append(len(keys))
+
+    def append_record(self, rec: dict) -> None:
+        for name, col in self._meta.items():
+            col.append(rec.get(name))
+        self._append_cells(rec["cells"])
 
     def append_tablesfile(
         self, doc_id: str, source_uuid: str, tablesfile: dict
@@ -428,11 +399,7 @@ class CellsTableBuilder:
         agreements = m["agreement_level"]
         sourcess = m["sources"]
         citations = m["citation"]
-        keys = self._keys
-        item_offsets = self._item_offsets
-        flat_vals = self._flat_vals
-        flat_lvls = self._flat_lvls
-        map_offsets = self._map_offsets
+        append_cells = self._append_cells
         citation = tablesfile.get("citation")
         for t_idx, table in enumerate(tablesfile["tables"]):
             for f_idx, frag in enumerate(table["fragments"]):
@@ -448,24 +415,7 @@ class CellsTableBuilder:
                     agreements.append(row["agreement_level"])
                     sourcess.append(row["sources"])
                     citations.append(citation)
-                    for name, value in row["cells"].items():
-                        keys.append(name)
-                        if value is None:
-                            flat_vals.append("")
-                            flat_lvls.append(NONE_SENTINEL)
-                            self._n_pairs += 1
-                        elif isinstance(value, str):
-                            flat_vals.append(value)
-                            flat_lvls.append(PLAIN_STRING_SENTINEL)
-                            self._n_pairs += 1
-                        else:
-                            for v in value:
-                                flat_vals.append(v["value"])
-                                flat_lvls.append(v["agreement_level"])
-                            self._n_pairs += len(value)
-                        item_offsets.append(self._n_pairs)
-                        self._n_cells += 1
-                    map_offsets.append(self._n_cells)
+                    append_cells(row["cells"])
 
     def build(self) -> pa.Table:
         if not self._meta["doc_id"]:

@@ -18,12 +18,11 @@ Deterministic per (seed, doc_id, run) → distributable inside map_batches.
 from __future__ import annotations
 
 import random
-from typing import List
 
 import pyarrow as pa
 
 from .. import rowmodel as rm
-from ..schema import CELLS_SCHEMA, rows_to_table, tablesfile_to_records
+from ..schema import CellsTableBuilder
 from .synth import FAMILIES, SPECIES, STATUSES
 
 DEFAULT_SEED = 42
@@ -96,7 +95,7 @@ def synth_resultsets_batch(
 ) -> pa.Table:
     """documents batch (doc_id:int64, ...) → CELLS_SCHEMA rows for all
     runs of each doc."""
-    records: List[dict] = []
+    builder = CellsTableBuilder()
     for raw_id in batch.column("doc_id").to_pylist():
         doc_id = f"doc_{int(raw_id):06d}"
         rng = random.Random(f"{seed}:tables:{doc_id}")
@@ -108,10 +107,8 @@ def synth_resultsets_batch(
                 tf = base
             else:
                 tf = _perturb(base, run_rng, numeric_names=(run_idx == 2))
-            records.extend(tablesfile_to_records(doc_id, uuid, tf))
-    if not records:
-        return CELLS_SCHEMA.empty_table()
-    return rows_to_table(records)
+            builder.append_tablesfile(doc_id, uuid, tf)
+    return builder.build()
 
 
 def synth_resultsets_dataset(sf_dir: str, seed: int = DEFAULT_SEED, runs: int = 3):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import pandas as pd
 import pyarrow as pa
@@ -40,7 +40,7 @@ import pyarrow as pa
 import ray.data
 
 from ..rowmodel import make_row
-from ..schema import CELLS_SCHEMA, rows_to_table, tablesfile_to_records
+from ..schema import CELLS_SCHEMA, CellsTableBuilder, table_to_doc_tablesfiles
 
 _SPECIAL = ("agreement_level_", "sources_", "row_")
 
@@ -275,7 +275,7 @@ def read_resultsets(resultset_dirs: List[str]) -> ray.data.Dataset:
 
     The ``(path, source_uuid)`` listing is split into ``min(files,
     default_num_shards())`` contiguous blocks, and one task per block
-    parses its files into a single ``rows_to_table`` result: each output
+    parses its files into one ``CellsTableBuilder`` table: each output
     block is one Arrow chunk per column."""
     from ..stages.shuffle import default_num_shards
 
@@ -294,16 +294,14 @@ def read_resultsets(resultset_dirs: List[str]) -> ray.data.Dataset:
     blocks = [listing.slice(s, e - s) for s, e in zip(bounds, bounds[1:])]
 
     def parse_block(block: pa.Table) -> pa.Table:
-        records = []
+        builder = CellsTableBuilder()
         for path, uuid in zip(
             block.column("path").to_pylist(), block.column("source_uuid").to_pylist()
         ):
             with open(path, "rb") as f:
                 tf = parse_tablesfile(f.read())
-            records.extend(tablesfile_to_records(doc_id_of_path(path), uuid, tf))
-        if not records:
-            return CELLS_SCHEMA.empty_table()
-        return rows_to_table(records)
+            builder.append_tablesfile(doc_id_of_path(path), uuid, tf)
+        return builder.build()
 
     return ray.data.from_arrow(blocks).map_batches(
         parse_block, batch_format="pyarrow", batch_size=None
@@ -380,17 +378,15 @@ def resultset_writer(
     sources: Optional[List[str]] = None,
     force_update: bool = False,
     pretty: bool = False,
-) -> Callable[[pa.Table], pd.DataFrame]:
+) -> Callable[[Iterable[Tuple[str, dict]]], pd.DataFrame]:
     """Create ``<out>/<uuid>/`` with its ``tables.metadata.json`` (written
-    once) and return the shard-level writer: a cells table holding every
-    row of each of its docs → one ``<doc_id>.tables.json`` per doc, and a
-    ``(doc_id, status)`` frame in doc_id order.
+    once) and return the shard-level writer: ``(doc_id, tablesfile tree)``
+    pairs in doc_id order → one ``<doc_id>.tables.json`` per doc, and a
+    ``(doc_id, status)`` frame in the same order.
 
-    Each file write is idempotent (tmp + rename). Zero-table docs are
+    Each file write is idempotent (tmp + rename). Docs without a row are
     skipped (writers/file.py:16-18); curated outputs are skipped unless
     ``force_update``."""
-    from ..schema import records_to_tablesfiles, table_to_row_records
-
     target = os.path.join(output_dir, resultset_uuid)
     os.makedirs(target, exist_ok=True)
     meta_path = os.path.join(target, "tables.metadata.json")
@@ -401,38 +397,28 @@ def resultset_writer(
         with open(meta_path, "w", encoding="utf-8") as f:
             json.dump(meta, f, ensure_ascii=False)
 
-    def write_doc(doc_id: str, records: List[dict]) -> str:
-        by_source = records_to_tablesfiles(records)
-        # a sink group should carry one source; if several, take them in order
-        merged_tables, citation = [], None
-        for uuid in sorted(by_source):
-            tf = by_source[uuid]
-            merged_tables.extend(tf["tables"])
-            citation = citation or tf.get("citation")
-        tf = {"tables": merged_tables, "citation": citation}
+    def write_doc(doc_id: str, tf: dict) -> str:
         path = os.path.join(target, f"{doc_id}.tables.json")
-        if not any(t["fragments"] and any(f["rows"] for f in t["fragments"])
-                   for t in tf["tables"]):
+        if not any(any(f["rows"] for f in t["fragments"]) for t in tf["tables"]):
             return "skipped-empty"
         if not force_update and _has_curations(path):
             return "skipped-curated"
-        obj = tablesfile_to_json_obj(tf)
+        obj = tablesfile_to_json_obj(
+            {"tables": tf["tables"], "citation": tf.get("citation")}
+        )
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(obj, f, ensure_ascii=False, indent=2 if pretty else None)
         os.replace(tmp, path)
         return "written"
 
-    def write_shard(tbl: pa.Table) -> pd.DataFrame:
-        by_doc: Dict[str, List[dict]] = {}
-        for rec in table_to_row_records(tbl):
-            by_doc.setdefault(rec["doc_id"], []).append(rec)
+    def write_docs(pairs: Iterable[Tuple[str, dict]]) -> pd.DataFrame:
         return pd.DataFrame(
-            [(doc_id, write_doc(doc_id, by_doc[doc_id])) for doc_id in sorted(by_doc)],
+            [(doc_id, write_doc(doc_id, tf)) for doc_id, tf in pairs],
             columns=SUMMARY_COLUMNS,
         )
 
-    return write_shard
+    return write_docs
 
 
 def write_resultset(
@@ -448,15 +434,32 @@ def write_resultset(
     ``tables.metadata.json``; returns a summary frame (doc_id, status).
 
     Distributed: one ``doc_id`` exchange places each doc's rows in one
-    shard task, which runs ``resultset_writer``'s shard writer."""
+    shard task, which decodes the shard once and runs
+    ``resultset_writer``'s writer over its docs."""
     from ..stages.shuffle import groupby_apply_table
 
-    writer = resultset_writer(
+    write = resultset_writer(
         output_dir, resultset_uuid, reader, sources, force_update, pretty
     )
+
+    def one_tree(by_source: Dict[str, dict]) -> dict:
+        # a sink group should carry one source; if several, take them in
+        # source order (the decoder's)
+        tables, citation = [], None
+        for tf in by_source.values():
+            tables.extend(tf["tables"])
+            citation = citation or tf.get("citation")
+        return {"tables": tables, "citation": citation}
+
+    def write_shard(tbl: pa.Table) -> pd.DataFrame:
+        return write(
+            (doc_id, one_tree(by_source))
+            for doc_id, by_source in table_to_doc_tablesfiles(tbl)
+        )
+
     # reindex: an empty corpus collects to a frame with no columns
     return (
-        groupby_apply_table(cells, "doc_id", writer)
+        groupby_apply_table(cells, "doc_id", write_shard)
         .to_pandas()
         .reindex(columns=SUMMARY_COLUMNS)
     )

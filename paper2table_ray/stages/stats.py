@@ -1,7 +1,7 @@
 """Corpus statistics (tablestats analogues, SURVEY.md §2.6 G4-G8).
 
-Per-paper stats are doc-local (``groupby(doc_id).map_groups``); global
-stats fold the tiny per-paper table with a driver-side sum — matching
+Per-paper stats are doc-local (one doc exchange, one decode per shard);
+global stats fold the tiny per-paper table with a driver-side sum — matching
 /root/reference/src/tablestats/stats.py semantics over the cells model.
 """
 
@@ -15,7 +15,7 @@ import pyarrow as pa
 import ray.data
 
 from .. import rowmodel as rm
-from ..schema import records_to_tablesfiles, table_to_row_records
+from ..schema import table_to_doc_tablesfiles, table_to_row_records
 
 
 def _row_value_strings(row: rm.Row) -> frozenset:
@@ -148,24 +148,21 @@ def paper_stats_dataset(
     from ONE pass over the cells corpus instead of two."""
     import json as _json
 
-    def per_doc(group: pa.Table) -> pd.DataFrame:
-        records = table_to_row_records(group)
-        if not records:
-            return pd.DataFrame()
-        doc_id = records[0]["doc_id"]
+    def per_shard(tbl: pa.Table) -> pd.DataFrame:
         out = []
-        for uuid, tf in records_to_tablesfiles(records).items():
-            stats = compute_paper_stats(tf)
-            stats["doc_id"] = doc_id
-            stats["source_uuid"] = uuid
-            if with_column_probe:
-                stats["columns_probe"] = _json.dumps(_column_probe(tf))
-            out.append(stats)
+        for doc_id, by_source in table_to_doc_tablesfiles(tbl):
+            for uuid, tf in by_source.items():
+                stats = compute_paper_stats(tf)
+                stats["doc_id"] = doc_id
+                stats["source_uuid"] = uuid
+                if with_column_probe:
+                    stats["columns_probe"] = _json.dumps(_column_probe(tf))
+                out.append(stats)
         return pd.DataFrame(out)
 
-    from .shuffle import groupby_apply
+    from .shuffle import groupby_apply_table
 
-    return groupby_apply(cells, "doc_id", per_doc, batch_format="pyarrow")
+    return groupby_apply_table(cells, "doc_id", per_shard)
 
 
 def global_stats(paper_stats: ray.data.Dataset) -> dict:
@@ -182,7 +179,8 @@ def global_stats(paper_stats: ray.data.Dataset) -> dict:
         Sum("rows_in_shared_groups", alias_name="rows_in_shared_groups"),
         Sum("rows_with_shared_values", alias_name="rows_with_shared_values"),
     )
-    out = dict(agg)
+    # Ray's Sum over no rows is None; the reference's running sums start at 0
+    out = {k: 0 if v is None else v for k, v in agg.items()}
     out["global_agreement_percentage"] = (
         out["rows_with_agreement"] / out["rows"] * 100 if out["rows"] else None
     )

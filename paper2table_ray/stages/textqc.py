@@ -166,16 +166,6 @@ def winnow_fingerprints(text: str, k: int = 5, window: int = 8) -> List[int]:
     return sorted(set(int(x) for x in mins))
 
 
-def add_winnow_sketch(batch: pa.Table, k: int = 5, window: int = 8) -> pa.Table:
-    sketches = [
-        winnow_fingerprints(t or "", k, window)
-        for t in batch.column("text").to_pylist()
-    ]
-    return batch.append_column(
-        "winnow_sketch", pa.array(sketches, type=pa.list_(pa.uint64()))
-    )
-
-
 # --- PII / pattern redaction -------------------------------------------------
 
 # ASCII-only patterns so Python re and DuckDB RE2 agree byte-for-byte.

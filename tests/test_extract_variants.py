@@ -22,6 +22,7 @@ from paper2table_ray.pipelines.extract import (
 from paper2table_ray.schema import DOC_SCHEMA, SPAN_STRUCT
 from paper2table_ray.stages.extract import CELL_SEP, ExtractConfig, SpanExtractor
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SF = "/root/testdata/sf0.001"
 REF_MAPPING = Path("/root/reference/tests/data/mappings/demo_table.mapping.json")
 
@@ -510,9 +511,10 @@ class TestPageRange:
             ],
             capture_output=True,
             text=True,
-            cwd="/root/repo",
+            cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=REPO),
         )
-        assert r.returncode == 0, r.stderr[-800:]
+        assert r.returncode == 0, r.stderr
         got = ray.data.read_parquet(str(out_dir)).to_pandas()
         tables = got[got["kind"] == "table"]
         assert len(tables) == 1

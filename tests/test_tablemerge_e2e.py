@@ -393,3 +393,57 @@ class TestFusedMergeWrite:
         summary = self._both(tmp_path, dirs, MergeSettings(), force_update=True)
         status = dict(zip(summary["doc_id"], summary["status"]))
         assert status["doc_000005"] == "written"
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestZeroRowFragments:
+    """With ``drop_empty_tables=False`` a title-only fragment survives the
+    merge with no rows; the written file is the merged tree as merged,
+    with every fragment at its own page."""
+
+    ROWS = [{"family": "Apiaceae", "species": "a"}, {"family": "Rosaceae", "species": "b"}]
+    TITLE = [{"family": "Table 2. Species"}]
+
+    def test_written_file_is_the_merged_tree(self, tmp_path):
+        from paper2table_ray.pipelines.merge import merge_doc_sources
+        from paper2table_ray.sources.tablesfile_json import (
+            parse_tablesfile,
+            tablesfile_to_json_obj,
+        )
+
+        src = tmp_path / "run-a"
+        src.mkdir()
+        pages = {"tail": [(1, self.ROWS), (2, self.TITLE)],
+                 "interior": [(1, self.ROWS), (2, self.TITLE), (3, self.ROWS)]}
+        for doc, frags in pages.items():
+            obj = {
+                "tables": [
+                    {"table_fragments": [{"rows": r, "page": p} for p, r in frags]}
+                ],
+                "citation": None,
+            }
+            (src / f"{doc}.tables.json").write_text(json.dumps(obj))
+        settings = MergeSettings(drop_empty_tables=False)
+        summary = run_tablemerge([str(src)], str(tmp_path / "out"), settings)
+        assert _rows(summary) == [
+            {"doc_id": "interior", "status": "written"},
+            {"doc_id": "tail", "status": "written"},
+        ]
+        cfg = settings_to_config(settings, {"run-a": None})
+        out = tmp_path / "out" / merged_uuid_for([str(src)])
+        for doc in pages:
+            tf = parse_tablesfile((src / f"{doc}.tables.json").read_text())
+            merged = merge_doc_sources(doc, {"run-a": tf}, cfg)
+            got = json.loads((out / f"{doc}.tables.json").read_text())
+            assert got == tablesfile_to_json_obj(merged)
+            pages_of = [f["page"] for f in got["tables"][0]["table_fragments"]]
+            assert pages_of == [p for p, _rows in pages[doc]]
+
+    def test_tree_without_rows_is_skipped_empty(self, tmp_path):
+        from paper2table_ray.sources.tablesfile_json import resultset_writer
+
+        write = resultset_writer(str(tmp_path), "u")
+        empty = {"tables": [{"fragments": [{"page": 1, "rows": []}]}], "citation": None}
+        summary = write([("d", empty)])
+        assert summary.to_dict("records") == [{"doc_id": "d", "status": "skipped-empty"}]
+        assert not (tmp_path / "u" / "d.tables.json").exists()

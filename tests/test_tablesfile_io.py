@@ -1,5 +1,5 @@
 """tables.json interchange: parse/validate/serialize round-trip, Ray
-resultset read/write, CSV/HTML sinks, settings persistence. Conformance:
+resultset read/write, CSV sink, settings persistence. Conformance:
 the reference's own demo resultsets parse losslessly."""
 
 import glob
@@ -12,7 +12,7 @@ import pytest
 
 import ray.data
 
-from paper2table_ray.pipelines.export import cells_to_html, write_csvs
+from paper2table_ray.pipelines.export import write_csvs
 from paper2table_ray.sources.resultsets import synth_resultsets_dataset
 from paper2table_ray.sources.tablesfile_json import (
     TablesFileError,
@@ -252,13 +252,6 @@ class TestExportSinks:
         assert paths
         df = pd.read_csv(paths[0])
         assert "$page" in df.columns and len(df) > 0
-
-    @needs_reference
-    def test_html_sink(self):
-        dirs = sorted(glob.glob(f"{REF_RESULTSETS}/*/"))[:1]
-        html = cells_to_html(read_resultsets(dirs))
-        assert html.startswith("<!doctype html>")
-        assert "<table>" in html and "$page" in html
 
 
 class TestSettings:

@@ -236,12 +236,15 @@ class TestEmptyCorpus:
         assert write_csvs(self._empty(), str(out)) == []
         assert list(out.iterdir()) == []
 
-    def test_cells_to_html_has_empty_body(self):
-        from paper2table_ray.pipelines.export import cells_to_html
+    def test_global_stats_totals_are_zero(self):
+        from paper2table_ray.stages.stats import (
+            accumulate_global,
+            global_stats,
+            paper_stats_dataset,
+        )
 
-        html = cells_to_html(self._empty(), title="demo")
-        assert html.startswith("<!doctype html>")
-        assert html.endswith("<body></body></html>")
+        got = global_stats(paper_stats_dataset(self._empty()))
+        assert got == accumulate_global([])
 
     def test_write_resultset_summary_keeps_columns(self, tmp_path):
         from paper2table_ray.sources.tablesfile_json import write_resultset
