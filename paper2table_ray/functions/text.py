@@ -27,8 +27,6 @@ import string
 import unicodedata
 from functools import lru_cache as _lru_cache
 
-import pyarrow as pa
-
 # --- normalize_str ---------------------------------------------------------
 
 _NONPRINTABLE_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f�]")

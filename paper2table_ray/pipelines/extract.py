@@ -298,7 +298,6 @@ def extract_spans_mapped(
     mappings,
     config: Optional[ExtractConfig] = None,
     batch_size: int = 32,
-    broadcast_limit: int = 200_000,
     num_shards: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Mapped (hybrid) extraction.
@@ -306,10 +305,10 @@ def extract_spans_mapped(
     ``mappings`` is either a ``{doc_id: mapping}`` dict or a
     ``Dataset[doc_id, mapping_json]`` from :func:`plan_mappings_ds`. Each
     doc's ``mapping_json`` is attached by a left ``hash_join`` on doc_id
-    (stages/joins.py: broadcast up to ``broadcast_limit`` mappings and
-    its byte bound, a co-partition join at ``num_shards`` above them),
-    and the extractor runs in the join task on the joined batch, so a
-    corpus-scaled mapping side never reaches the driver."""
+    (stages/joins.py: broadcast within the join's row and byte limits,
+    a co-partition join at ``num_shards`` above them), and the extractor
+    runs in the join task on the joined batch, so a corpus-scaled
+    mapping side never reaches the driver."""
     import json
 
     import pyarrow as pa
@@ -332,7 +331,6 @@ def extract_spans_mapped(
         "doc_id",
         ["mapping_json"],
         how="left",
-        broadcast_limit=broadcast_limit,
         num_shards=num_shards,
         batch_size=batch_size,
         post=worker_cached(SpanExtractor, config=config or ExtractConfig()),

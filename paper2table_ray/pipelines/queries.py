@@ -866,8 +866,6 @@ def q_filenorm_plan(sf_dir: str):
     # num_shards=16: two coarse-shard stages on a sub-10^4-row corpus are
     # fixed-cost bound, so this query pins the width; the stage's own
     # default is cluster-sized (default_num_shards()).
-    # (plan_actions_distributed also has a size-gated driver fast path;
-    # this query keeps the distributed fold ON to exercise it.)
     hashed = ds.map_batches(hash_rows, batch_format="pyarrow")
     out = plan_actions_distributed(hashed, num_shards=16).to_pandas()
     return out.sort_values(["action", "path"]).reset_index(drop=True)

@@ -8,7 +8,8 @@
   buckets; a query probes its own bucket plus Hamming-≤1 neighbors and only
   scores those. Approximate; recall grows with probes.
 - ``embedding_cosine_dedup_pairs``: embedding near-duplicate pairs via the
-  same bucket groupby + in-bucket pairwise cosine.
+  same bucket groupby + in-bucket pairwise cosine, verified on embeddings
+  attached through ``joins.attach_pair_sides`` (``hash_join``'s gate).
 """
 
 from __future__ import annotations
@@ -154,7 +155,6 @@ def embedding_cosine_dedup_pairs(
     id_col: str = "vec_id",
     dim: Optional[int] = None,
     max_bucket_size: int = 4096,
-    verify_broadcast_limit: int = 1_000_000,
     num_shards: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Embedding near-duplicate pairs — the LSH scale path.
@@ -170,9 +170,8 @@ def embedding_cosine_dedup_pairs(
        band where the two codes agree (vectorized check against the
        carried code vectors) — exact global pair-dedup with no extra
        all-to-all. Hot buckets are capped at ``max_bucket_size``.
-    3. **verify**: exact cosine per candidate. The id→embedding matrix
-       broadcasts below ``verify_broadcast_limit`` vectors; above it the
-       embeddings attach via two hash joins (stages/joins.hash_join).
+    3. **verify**: exact cosine per candidate, on the embeddings that
+       ``stages/joins.attach_pair_sides`` attaches to both pair sides.
 
     Recall at similarity s: collision p = 1 - arccos(s)/π per bit,
     per-band p^n_bits, overall 1-(1-p^n_bits)^n_bands. No false
@@ -227,55 +226,9 @@ def embedding_cosine_dedup_pairs(
         num_shards=num_shards,
     )
 
-    n_vecs = embeddings.count()
-    if n_vecs <= verify_broadcast_limit:
-        ids_chunks, mats = [], []
-        for b in embeddings.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                ids_chunks.append(b.column(id_col).to_numpy(zero_copy_only=False))
-                mats.append(_normalize(_batch_matrix(b)))
-        all_ids = np.concatenate(ids_chunks)
-        order = np.argsort(all_ids)
-        lookup_ref = ray.put((all_ids[order], np.vstack(mats)[order]))
-
-        def verify(batch: pa.Table) -> pa.Table:
-            s_ids, mat = ray.get(lookup_ref)
-            a = batch.column("id_a").to_numpy(zero_copy_only=False)
-            b_ = batch.column("id_b").to_numpy(zero_copy_only=False)
-            va = mat[np.searchsorted(s_ids, a)]
-            vb = mat[np.searchsorted(s_ids, b_)]
-            cos = np.einsum("ij,ij->i", va, vb)
-            keep = cos >= threshold
-            return pa.table(
-                {
-                    "id_a": pa.array(a[keep], type=pa.int64()),
-                    "id_b": pa.array(b_[keep], type=pa.int64()),
-                    "cosine": pa.array(cos[keep], type=pa.float64()),
-                }
-            )
-
-        return candidates.map_batches(verify, batch_format="pyarrow")
-
-    # scale path: attach both embeddings via hash joins, then score
-    from .joins import hash_join
-
-    with_a = hash_join(
-        candidates, embeddings.select_columns([id_col, "embedding"]),
-        "id_a", id_col, ["embedding"], num_shards=num_shards,
-    ).map_batches(
-        lambda b: b.rename_columns(
-            [{"embedding": "emb_a"}.get(c, c) for c in b.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    with_ab = hash_join(
-        with_a, embeddings.select_columns([id_col, "embedding"]),
-        "id_b", id_col, ["embedding"], num_shards=num_shards,
-    )
-
     def verify_joined(batch: pa.Table) -> pa.Table:
-        va = _normalize(_batch_matrix(batch, col="emb_a"))
-        vb = _normalize(_batch_matrix(batch, col="embedding"))
+        va = _normalize(_batch_matrix(batch, col="embedding_a"))
+        vb = _normalize(_batch_matrix(batch, col="embedding_b"))
         cos = np.einsum("ij,ij->i", va, vb)
         keep = cos >= threshold
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
@@ -288,7 +241,12 @@ def embedding_cosine_dedup_pairs(
             }
         )
 
-    return with_ab.map_batches(verify_joined, batch_format="pyarrow")
+    from .joins import attach_pair_sides
+
+    return attach_pair_sides(
+        candidates, embeddings.select_columns([id_col, "embedding"]),
+        "id_a", "id_b", id_col, ["embedding"], num_shards, post=verify_joined,
+    )
 
 
 def embedding_dedup_pairs_exact(

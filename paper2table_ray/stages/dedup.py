@@ -23,18 +23,15 @@ Scale shape (what crosses the wire, per doc):
    per bucket (per-group overhead, not data volume, is what kills
    ``map_groups`` over millions of 1-row groups);
 4. candidate pairs are made distinct under the same coarse pair-hash
-   sharding, then verified against the candidates' packed signatures /
-   shingle sets: broadcast when they fit ``joins.BROADCAST_BYTE_LIMIT``,
-   else shard-joined onto both pair sides (``joins.hash_join``) — the
-   join input is |candidates|, a small fraction of the corpus;
+   sharding, then verified against the candidates' packed signatures or
+   shingle sets, which ``joins.attach_pair_sides`` attaches to both pair
+   sides through ``hash_join``'s one gate;
 5. oversized buckets (hot hashes: boilerplate, empty docs) are capped at
    ``max_bucket_size`` members, deterministically by sorted doc id, so a
    degenerate key cannot go quadratic.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pandas as pd
@@ -116,12 +113,15 @@ def _pack_u32(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr.astype("<u4")).tobytes()
 
 
-def _unpack_u64(buf: bytes) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<u8")
-
-
-def _unpack_u32(buf: bytes) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<u4")
+def _u32_rows(col: pa.ChunkedArray) -> list:
+    """Per-row uint32 views into a packed binary column (no per-row copy)."""
+    rows = []
+    for a in col.chunks:
+        wide = pa.types.is_large_binary(a.type)
+        offs = np.frombuffer(a.buffers()[1], np.int64 if wide else np.int32)[a.offset :]
+        data = np.frombuffer(a.buffers()[2] or b"", np.uint8)
+        rows += [data[offs[i] : offs[i + 1]].view("<u4") for i in range(len(a))]
+    return rows
 
 
 class MinHasher:
@@ -247,10 +247,8 @@ def minhash_lsh_pairs(
     exact_verify: bool = True,
     num_shards: int | None = None,
     max_bucket_size: int = 256,
-    broadcast_pair_limit: int = 2_000_000,
     persist_threshold: int = 2_000_000,
     sig_spill_dir: Optional[str] = None,
-    n_docs_hint: Optional[int] = None,
 ) -> ray.data.Dataset:
     """documents (doc_id, text) → near-duplicate pairs
     (doc_a, doc_b, jaccard), distinct, doc_a < doc_b.
@@ -258,12 +256,12 @@ def minhash_lsh_pairs(
     shingle+minhash (vectorized map_batches) → band explode (only
     ``(shard, bucket, doc_id)`` crosses the shuffle) → coarse-shard
     groupby → in-shard vectorized pair-gen → coarse-shard distinct →
-    packed sigs/shingles of the candidates broadcast (or, above the pair
-    or byte bound, shard-joined onto both sides) → vectorized verify.
+    packed sigs/shingles of the candidates attached to both pair sides
+    (``joins.attach_pair_sides``) → vectorized verify.
     ``jaccard`` is exact (true shingle-set overlap) when ``exact_verify``
     else the signature estimate. ``num_shards`` (default
     ``default_num_shards()``) sizes every exchange: bands, pair-distinct
-    and the join fallback.
+    and the verify joins' shard plan.
     """
     from .workercache import worker_cached
 
@@ -283,25 +281,16 @@ def minhash_lsh_pairs(
         batch_format="pyarrow",
         batch_size=256,
     )
-    # consumed 3× (band rows + both join sides): persist the compact
-    # signature table once instead of re-hashing the corpus per consumer
-    # (~1KB/doc). Small corpora pin it in the object store; above
-    # ``persist_threshold`` docs it is written to parquet and re-read
-    # column-pruned per consumer, so 10^9+-doc signature tables never
-    # have to live in (or spill out of) plasma.
-    # spill-mode decision WITHOUT executing the upstream pipeline an
-    # extra time: caller hint first, then source metadata (free for
-    # bare reads, None for derived pipelines), else materialize-and-
-    # count (the count is free on materialized data; a late spill then
-    # still moves the table out of plasma for the three consumers).
-    # 10^9-doc callers should pass ``n_docs_hint``.
-    n_docs = n_docs_hint
-    if n_docs is None:
-        try:
-            n_docs = docs._meta_count()
-        except Exception:
-            n_docs = None
-    persist_dir = None
+    # consumed twice (band rows, then the verify side): persist the
+    # compact signature table (~1KB/doc) once instead of re-hashing the
+    # corpus. Above ``persist_threshold`` docs it goes to parquet, re-read
+    # column-pruned per consumer, so it never has to live in plasma. The
+    # doc count comes from source metadata (free for bare reads), else
+    # from the materialized table, so upstream never runs twice.
+    try:
+        n_docs = docs._meta_count()
+    except Exception:
+        n_docs = None
 
     def _spill(ds):
         # multi-node: this directory is read back by tasks on OTHER
@@ -310,14 +299,14 @@ def minhash_lsh_pairs(
 
         d = scratch_dir("p2t_minhash_sigs_", sig_spill_dir)
         ds.write_parquet(d)
-        return d, ray.data.read_parquet(d)
+        return ray.data.read_parquet(d)
 
     if n_docs is not None and n_docs > persist_threshold:
-        persist_dir, feats = _spill(feats)
+        feats = _spill(feats)
     else:
         feats = feats.materialize()
         if n_docs is None and feats.count() > persist_threshold:
-            persist_dir, feats = _spill(feats)
+            feats = _spill(feats)
 
     band_rows = feats.map_batches(
         lambda b: lsh_band_rows(b, bands, rows_per_band, num_shards),
@@ -328,39 +317,6 @@ def minhash_lsh_pairs(
         batch_format="pandas",
     )
     distinct = _distinct_pairs(cands, num_shards).materialize()
-
-    def verify_with_lookup(batch: pa.Table, feat_map: dict) -> pa.Table:
-        m = batch.num_rows
-        if m == 0:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], batch.schema.field("doc_a").type),
-                    "doc_b": pa.array([], batch.schema.field("doc_b").type),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
-        das = batch.column("doc_a").to_pylist()
-        dbs = batch.column("doc_b").to_pylist()
-        jac = np.empty(m, dtype=np.float64)
-        for i, (a, b) in enumerate(zip(das, dbs)):
-            fa, fb = feat_map[a], feat_map[b]
-            if exact_verify:
-                A, B = _unpack_u32(fa[1]), _unpack_u32(fb[1])
-                inter = np.intersect1d(A, B, assume_unique=True).size
-                union = A.size + B.size - inter
-                jac[i] = inter / union if union else 0.0
-            else:
-                jac[i] = float(
-                    (_unpack_u64(fa[0]) == _unpack_u64(fb[0])).mean()
-                )
-        keep = jac >= threshold
-        return pa.table(
-            {
-                "doc_a": batch.column("doc_a").filter(pa.array(keep)),
-                "doc_b": batch.column("doc_b").filter(pa.array(keep)),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
-        )
 
     n_pairs = distinct.count()
     if n_pairs == 0:
@@ -378,88 +334,16 @@ def minhash_lsh_pairs(
         )
         return ray.data.from_arrow(empty)
 
-    if n_pairs <= broadcast_pair_limit:
-        # Candidate features are O(pairs) — ship them ONCE via ray.put and
-        # probe per batch, instead of two Dataset.joins (each join costs
-        # ~10s+ of fixed aggregator setup; measured 25s for 256 pairs).
-        # Gated on bytes as well as pairs, with hash_join's bound: long
-        # docs make wide shingle sets.
-        from .joins import BROADCAST_BYTE_LIMIT
+    from .joins import attach_pair_sides
 
-        pdf = distinct.to_pandas()
-        cand_ids = pa.array(sorted(set(pdf["doc_a"]) | set(pdf["doc_b"])))
-        ids_ref = ray.put(cand_ids)
-
-        def pick(batch: pa.Table) -> pa.Table:
-            # vectorized membership (pc.is_in against the broadcast value
-            # set) — no Python row loop over the whole corpus
-            mask = pc.is_in(batch.column("doc_id"), value_set=ray.get(ids_ref))
-            return batch.filter(mask)
-
-        picked = feats.map_batches(pick, batch_format="pyarrow").materialize()
-        if picked.size_bytes() <= BROADCAST_BYTE_LIMIT:
-            ftbl = pa.concat_tables(
-                picked.iter_batches(batch_format="pyarrow"),
-                promote_options="default",
-            )
-            shingle_col = (
-                ftbl.column("shingles").to_pylist()
-                if "shingles" in ftbl.column_names
-                else [None] * ftbl.num_rows
-            )
-            feat_map = {
-                d: (s, sh)
-                for d, s, sh in zip(
-                    ftbl.column("doc_id").to_pylist(),
-                    ftbl.column("minhash_sig").to_pylist(),
-                    shingle_col,
-                )
-            }
-            feat_ref = ray.put(feat_map)
-            return distinct.map_batches(
-                lambda b: verify_with_lookup(b, ray.get(feat_ref)),
-                batch_format="pyarrow",
-            )
-
-    # scale fallback: too many candidates (or candidate bytes) to
-    # broadcast → attach the packed features to both pair sides with the
-    # shard join (stages/joins.py), ``num_shards`` wide. Ray's
-    # ``Dataset.join`` is not used: two chained 8-partition joins did not
-    # finish within 60 s on a 4-CPU local cluster.
-    from .joins import hash_join
-
-    feat_cols = ["minhash_sig"] + (["shingles"] if exact_verify else [])
-    side = feats.select_columns(["doc_id"] + feat_cols).materialize()
-
-    def suffixed(sfx: str):
-        return lambda t: t.rename_columns(
-            [c + sfx if c in feat_cols else c for c in t.column_names]
-        )
-
-    def attach(pairs: ray.data.Dataset, key: str, sfx: str) -> ray.data.Dataset:
-        return hash_join(
-            pairs, side, key, "doc_id", feat_cols, broadcast_limit=0,
-            num_shards=num_shards, post=suffixed(sfx),
-        ).materialize()
-
-    joined = attach(attach(distinct, "doc_a", "_a"), "doc_b", "_b")
-
+    # exact verify reads only the shingle sets, the estimate only the sigs
+    feat_cols = ["shingles"] if exact_verify else ["minhash_sig"]
     def verify_joined(batch: pa.Table) -> pa.Table:
         m = batch.num_rows
-        if m == 0:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], batch.schema.field("doc_a").type),
-                    "doc_b": pa.array([], batch.schema.field("doc_b").type),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
         if exact_verify:
-            sa = batch.column("shingles_a").to_pylist()
-            sb = batch.column("shingles_b").to_pylist()
+            sa, sb = (_u32_rows(batch.column(c)) for c in ("shingles_a", "shingles_b"))
             jac = np.empty(m, dtype=np.float64)
-            for i in range(m):
-                A, B = _unpack_u32(sa[i]), _unpack_u32(sb[i])
+            for i, (A, B) in enumerate(zip(sa, sb)):
                 inter = np.intersect1d(A, B, assume_unique=True).size
                 union = A.size + B.size - inter
                 jac[i] = inter / union if union else 0.0
@@ -476,7 +360,10 @@ def minhash_lsh_pairs(
             }
         )
 
-    return joined.map_batches(verify_joined, batch_format="pyarrow")
+    return attach_pair_sides(
+        distinct, feats.select_columns(["doc_id"] + feat_cols),
+        "doc_a", "doc_b", "doc_id", feat_cols, num_shards, post=verify_joined,
+    )
 
 
 def exact_dedup(

@@ -92,7 +92,6 @@ def plan_actions_distributed(
     path_col: str = "path",
     md5_col: str = "content_md5",
     num_shards: "int | None" = None,
-    driver_fast_path_limit: int = 0,
 ):
     """Distributed ``plan_actions`` with EXACT sequential-fold parity.
 
@@ -115,27 +114,6 @@ def plan_actions_distributed(
     import pandas as pd
 
     from .shuffle import groupby_apply
-
-    if driver_fast_path_limit and ds.count() <= driver_fast_path_limit:
-        # small-input fast path: the two coarse-shard shuffles cost more
-        # than the whole sequential fold below ~10^5 rows; parity with
-        # the distributed path is pinned by tests/test_misc_ops.py
-        import ray.data as _rd
-
-        df = ds.to_pandas().sort_values(pos_col)
-        duplicates, renames, _ = plan_actions(
-            list(zip(df[path_col], df[md5_col]))
-        )
-        actions = [
-            {"action": "drop", "path": p, "target": md5}
-            for md5, paths in duplicates.items()
-            for p in paths
-        ] + [
-            {"action": "rename", "path": p, "target": new}
-            for p, new in renames.items()
-        ]
-        out = pd.DataFrame(actions, columns=["action", "path", "target"])
-        return _rd.from_pandas(out)
 
     def fold_group(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(pos_col)

@@ -1,27 +1,31 @@
-"""Size-gated hash join for fact ⨝ dimension shapes.
+"""Size-gated hash join for fact ⨝ dimension shapes: the package's one
+gate between broadcast and exchange.
 
-Ray's native ``Dataset.join`` pays a large fixed setup cost (hash-shuffle
-of both sides) that is wasted when one side is dimension-sized, and a
-Python ``dict`` broadcast (round-1 shape) puts a fact-scaled side on the
-driver heap and probes it row-at-a-time. ``hash_join`` picks the right
-plan by measuring the build side:
+Ray's native ``Dataset.join`` hash-shuffles both sides even when one is
+dimension-sized. ``hash_join`` reads the build side's row count and byte
+size (a materialized Dataset's block metadata) before anything is
+collected, against two module constants:
 
-- build side ≤ ``broadcast_limit`` rows → collected once (bounded driver
-  memory), shipped via one ``ray.put``, and probed **vectorized** per
-  batch with ``np.searchsorted`` over the sorted key array (no Python
-  dict, no per-row loop). Unknown probe keys follow ``how``: ``"inner"``
-  drops them (SQL inner-join semantics), ``"left"`` null-fills.
-- build side > ``broadcast_limit`` rows or > ``BROADCAST_BYTE_LIMIT``
-  bytes → co-partition join: each side is stamped with a side flag, the
-  right key is written under the left key's name, and the union goes
-  through ``stages/shuffle.groupby_apply_table`` on that key; each shard
-  task runs an exact ``pd.merge`` of its two sides. Neither side touches
-  the driver.
+- build side ≤ ``BROADCAST_ROW_LIMIT`` rows and ≤ ``BROADCAST_BYTE_LIMIT``
+  bytes → collected once, shipped via one ``ray.put``, and probed
+  **vectorized** per batch with ``np.searchsorted`` over the sorted key
+  array (no Python dict, no per-row loop). Unknown probe keys follow
+  ``how``: ``"inner"`` drops them (SQL inner-join semantics), ``"left"``
+  null-fills.
+- either limit exceeded → co-partition join: each side is stamped with
+  a side flag, the right key is written under the left key's name, and
+  the union goes through ``stages/shuffle.groupby_apply_table`` on that
+  key; each shard task runs an exact ``pd.merge`` of its two sides.
+  Neither side touches the driver.
 
-``post`` (optional) runs on each joined batch INSIDE the join task — use
-it to fuse a partial aggregation so the fat joined intermediate never
-hits the object store (this sandbox's plasma writes anti-scale; see
-BASELINE.md).
+``post`` (optional) runs on each joined batch INSIDE the join task, so a
+fused partial aggregation or verify keeps the wide joined intermediate
+out of the object store (plasma writes anti-scale; see BASELINE.md).
+
+``attach_pair_sides`` is the pair-verification shape (MinHash and
+embedding-cosine dedup): it narrows a feature side to the ids of a pair
+Dataset (when the pairs are within the row limit) and attaches the
+features to both pair ends with two ``hash_join`` calls behind the gate.
 
 Reference analogue: the mapping/metadata broadcast joins of
 paper2table (J6, src/paper2table/readers/hybrid.py) generalized to
@@ -41,24 +45,31 @@ import ray.data
 
 _SIDE = "__jside"
 
-# build sides under broadcast_limit ROWS but over this many BYTES take the
-# shard join instead (object-store copy per node is fine; the per-task
-# pandas collect on the duplicate-key path is not)
+# the broadcast gate: a build side within BOTH limits is collected and
+# broadcast, a larger one takes the shard join. Rows bound the driver
+# collect; bytes bound the object-store copy and the per-task pandas
+# collect of the duplicate-key path (wide rows)
+BROADCAST_ROW_LIMIT = 2_000_000
 BROADCAST_BYTE_LIMIT = 256 * 1024 * 1024
+# attach_pair_sides' probe batches: about this many bytes of one side's features
+_PAIR_BATCH_BYTES = 32 * 1024 * 1024
 
 
-def _to_arrow_table(side, limit: Optional[int] = None) -> Optional[pa.Table]:
-    """Collect ``side`` (pa.Table or Dataset) to one pa.Table; None if a
-    Dataset exceeds ``limit`` rows. The caller (``hash_join``) has
-    already materialized Dataset sides, so ``count()`` here is block
-    metadata, not a plan execution."""
+def _fits_broadcast(side) -> bool:
+    """The gate, on sizes known before any collect (Dataset: block metadata)."""
     if isinstance(side, pa.Table):
-        if limit is not None and side.num_rows > limit:
-            return None
+        rows, nbytes = side.num_rows, side.nbytes
+    else:
+        rows, nbytes = side.count(), side.size_bytes() or 0
+    return rows <= BROADCAST_ROW_LIMIT and nbytes <= BROADCAST_BYTE_LIMIT
+
+
+def _to_arrow_table(side) -> pa.Table:
+    """Collect ``side`` (pa.Table or Dataset) to one pa.Table."""
+    if isinstance(side, pa.Table):
         return side
-    if limit is not None and side.count() > limit:
-        return None
-    batches = [b for b in side.iter_batches(batch_format="pyarrow") if b.num_rows]
+    blocks = side.iter_batches(batch_format="pyarrow", batch_size=None)  # no re-slicing
+    batches = [b for b in blocks if b.num_rows]
     if not batches:
         schema = side.schema()
         if schema is None:
@@ -77,7 +88,6 @@ def hash_join(
     right_key: str,
     right_columns: List[str],
     how: str = "inner",
-    broadcast_limit: int = 2_000_000,
     num_shards: "int | None" = None,
     batch_size: int = 65536,
     post: Optional[Callable[[pa.Table], pa.Table]] = None,
@@ -89,24 +99,86 @@ def hash_join(
         raise ValueError(f"how={how!r}: expected 'inner' or 'left'")
 
     if isinstance(right, ray.data.Dataset):
-        # a LAZY right side would execute twice (count() for the size
-        # gate, then the collect or the shard shuffle); materialize ONCE
-        # — blocks stay in the object store (spillable), the driver
-        # holds refs only, and both downstream paths reuse them
+        # materialized ONCE (the driver holds block refs only): the gate
+        # reads its metadata, then the collect or the shard shuffle its blocks
         right = right.materialize()
-    small = _to_arrow_table(right, limit=broadcast_limit)
-    # a build side under the row bound but over the byte bound (WIDE
-    # rows) also takes the shard join: a multi-GB side would be ray.put
-    # once per job AND pandas-collected per probe task on the
-    # duplicate-key path
-    if small is not None and small.nbytes <= BROADCAST_BYTE_LIMIT:
+    if _fits_broadcast(right):
         return _broadcast_join(
-            left, small, left_key, right_key, right_columns, how, batch_size, post
+            left, _to_arrow_table(right), left_key, right_key, right_columns,
+            how, batch_size, post,
         )
     if isinstance(right, pa.Table):
         right = ray.data.from_arrow(right)
     return _shard_join(
         left, right, left_key, right_key, right_columns, how, num_shards, post
+    )
+
+
+def attach_pair_sides(
+    pairs: ray.data.Dataset,
+    side: ray.data.Dataset,
+    a_key: str,
+    b_key: str,
+    side_key: str,
+    columns: List[str],
+    num_shards: "int | None" = None,
+    post: Optional[Callable[[pa.Table], pa.Table]] = None,
+) -> ray.data.Dataset:
+    """Attach ``side``'s ``columns`` to both ends of each pair: as
+    ``<col>_a`` where ``side_key == a_key`` and as ``<col>_b`` where
+    ``side_key == b_key``, with two inner ``hash_join`` calls.
+
+    ``pairs`` is materialized once. Within ``BROADCAST_ROW_LIMIT`` pairs
+    (a block-metadata count) their distinct id set is collected and
+    ``side`` is narrowed to those ids, so a broadcast collects the pairs'
+    features, not the whole side's; above it the pairs never reach the
+    driver. ``post`` runs on each attached batch in the second join's
+    task, so a fused verify stores no feature-carrying pair row."""
+    pairs = pairs.materialize()
+    if pairs.count() <= BROADCAST_ROW_LIMIT:
+        per_batch = [
+            pc.unique(pa.chunked_array(b.column(a_key).chunks + b.column(b_key).chunks))
+            for b in pairs.iter_batches(batch_format="pyarrow", batch_size=None)
+            if b.num_rows
+        ]
+        ids_ref = ray.put(pc.unique(pa.chunked_array(per_batch)) if per_batch else None)
+
+        def pick(batch: pa.Table) -> pa.Table:
+            ids = ray.get(ids_ref)
+            if ids is None:
+                return batch.slice(0, 0)
+            return batch.filter(pc.is_in(batch.column(side_key), value_set=ids))
+
+        side = side.map_batches(pick, batch_format="pyarrow").materialize()
+    else:
+        side = side.materialize()
+
+    def suffixed(sfx: str) -> Callable[[pa.Table], pa.Table]:
+        return lambda t: t.rename_columns(
+            [c + sfx if c in columns else c for c in t.column_names]
+        )
+
+    # one gate decision for both joins (same side): broadcast, one collect
+    # serves both and the two probes fuse into one task
+    broadcast = _fits_broadcast(side)
+    batch_size = 65536
+    if broadcast:
+        side = _to_arrow_table(side)
+        rows = _PAIR_BATCH_BYTES * side.num_rows // max(side.nbytes, 1)
+        batch_size = max(1, min(batch_size, rows))
+    with_a = hash_join(
+        pairs, side, a_key, side_key, columns,
+        num_shards=num_shards, post=suffixed("_a"), batch_size=batch_size,
+    )
+    if not broadcast:
+        # the second shard join reads its left schema, which would
+        # otherwise execute the first join an extra time
+        with_a = with_a.materialize()
+    with_b = suffixed("_b")
+    return hash_join(
+        with_a, side, b_key, side_key, columns, num_shards=num_shards,
+        post=with_b if post is None else (lambda t: post(with_b(t))),
+        batch_size=batch_size,
     )
 
 
@@ -142,7 +214,8 @@ def _broadcast_join(
                 matched = np.zeros(len(probe_keys), dtype=bool)
             if how == "inner":
                 keep = np.flatnonzero(matched)
-                out = batch.take(pa.array(keep))
+                # every key matched (pair attach): no copy of a wide batch
+                out = batch if len(keep) == batch.num_rows else batch.take(pa.array(keep))
                 idx = pa.array(pos_c[keep])
                 for c in right_columns:
                     col = pay[c].take(idx) if len(skeys) else pa.nulls(0, pay[c].type)

@@ -17,7 +17,6 @@ from typing import List
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 PUNCT_RE = re.compile(r"[.,;:!?]")

@@ -29,6 +29,20 @@ def ray_session():
 
 
 @pytest.fixture
+def force_shard_plan(monkeypatch):
+    """Call the returned function to send every later ``hash_join`` (and
+    so mapped extraction and pair verification) down the shard plan: both
+    broadcast limits of ``stages/joins.py`` become 0 for the test."""
+    import paper2table_ray.stages.joins as joins
+
+    def force():
+        monkeypatch.setattr(joins, "BROADCAST_ROW_LIMIT", 0)
+        monkeypatch.setattr(joins, "BROADCAST_BYTE_LIMIT", 0)
+
+    return force
+
+
+@pytest.fixture
 def synth_resultset_dirs(tmp_path):
     """Factory: write the synthesized multi-run resultsets of
     ``sources/resultsets.py`` as ``<tmp>/runs/<run uuid>/<doc_id>.tables.json``

@@ -269,6 +269,17 @@ class TestANN:
         got = pairs.to_pandas()
         assert {(a, b) for a, b in zip(got["id_a"], got["id_b"])} == {(1, 2)}
 
+    def test_embedding_dedup_without_candidates_is_empty(self):
+        # opposite vectors differ in every sign bit: no bucket pairs them
+        rows = [
+            {"vec_id": 1, "embedding": [1.0, 0.0, 0.0, 0.0]},
+            {"vec_id": 2, "embedding": [-1.0, 0.0, 0.0, 0.0]},
+        ]
+        pairs = embedding_cosine_dedup_pairs(
+            ray.data.from_items(rows), threshold=0.5, n_bits=2, dim=4
+        )
+        assert pairs.count() == 0
+
     def test_exact_dedup_pairs_match_bruteforce(self):
         from paper2table_ray.stages.ann import embedding_dedup_pairs_exact
 
@@ -318,11 +329,12 @@ class TestANN:
         recall = len(approx_set & exact_set) / len(exact_set)
         assert recall >= 0.5, f"LSH recall {recall:.2f} below floor"
 
-    def test_lsh_dedup_shardjoin_verify_equals_broadcast(self):
+    def test_lsh_dedup_shardjoin_verify_equals_broadcast(self, force_shard_plan):
         kw = dict(threshold=0.45, n_bits=4, n_bands=8, dim=64)
         bc = embedding_cosine_dedup_pairs(self._embeddings(), **kw).to_pandas()
+        force_shard_plan()
         sj = embedding_cosine_dedup_pairs(
-            self._embeddings(), verify_broadcast_limit=0, num_shards=8, **kw
+            self._embeddings(), num_shards=8, **kw
         ).to_pandas()
         key = lambda df: sorted(zip(df["id_a"], df["id_b"]))
         assert key(bc) == key(sj)
@@ -483,3 +495,14 @@ class TestNearDupClusters:
         out = near_dup_clusters(pairs).to_pandas()
         assert set(out["cluster_id"]) == {0}
         assert len(out) == n
+
+
+@pytest.mark.parametrize("typ", [pa.binary(), pa.large_binary()])
+def test_u32_rows_views_match_unpacked_bytes(typ):
+    """The verify's per-row views equal each row's unpacked bytes, on a
+    sliced second chunk and on empty rows."""
+    vals = [dd._pack_u32(np.arange(k, dtype=np.uint32) * 7) for k in [0, 3, 5, 1, 0, 4]]
+    col = pa.chunked_array([pa.array(vals[:2], typ), pa.array(vals[2:], typ).slice(1)])
+    got = dd._u32_rows(col)
+    want = [np.frombuffer(v, "<u4") for v in vals[:2] + vals[3:]]
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]

@@ -114,15 +114,14 @@ class TestMapped:
         out_plain = _spans_df(extract_spans(self._table_doc()))
         pd.testing.assert_frame_equal(out_mapped, out_plain)
 
-    def test_shardjoin_path_bit_identical_to_broadcast(self):
-        # force the >broadcast_limit hash-join path and compare against the
-        # broadcast path over the full sf corpus
+    def test_shardjoin_path_bit_identical_to_broadcast(self, force_shard_plan):
+        # force the hash join's shard plan and compare against the
+        # broadcast plan over the full sf corpus
         docs = synth_docs_dataset(SF).materialize()
         mappings_ds = plan_mappings_ds(docs).materialize()
         broadcast = _spans_df(extract_spans_mapped(docs, mappings_ds))
-        joined = _spans_df(
-            extract_spans_mapped(docs, mappings_ds, broadcast_limit=0, num_shards=8)
-        )
+        force_shard_plan()
+        joined = _spans_df(extract_spans_mapped(docs, mappings_ds, num_shards=8))
         pd.testing.assert_frame_equal(broadcast, joined)
 
     def test_plan_mappings_cache_roundtrip(self, tmp_path):

@@ -58,48 +58,33 @@ class TestHashJoin:
         assert out.loc[out["k"] == 7, "name"].isna().all()
         assert out.loc[out["k"] == 3, "name"].iloc[0] == "n3"
 
-    def test_shard_path_equals_broadcast_path(self):
+    def test_shard_path_equals_broadcast_path(self, force_shard_plan):
         right_ds = ray.data.from_arrow(_right_tbl())
         bc = _sorted_df(hash_join(_left_ds(), right_ds, "k", "rk", ["name"]), "k")
+        force_shard_plan()
         sh = _sorted_df(
-            hash_join(
-                _left_ds(),
-                right_ds,
-                "k",
-                "rk",
-                ["name"],
-                broadcast_limit=0,
-                num_shards=4,
-            ),
+            hash_join(_left_ds(), right_ds, "k", "rk", ["name"], num_shards=4),
             "k",
         )
         pd.testing.assert_frame_equal(bc, sh[bc.columns])
 
-    def test_shard_path_takes_an_arrow_build_side(self):
-        # an in-memory (pa.Table) build side over the row bound takes the
+    def test_shard_path_takes_an_arrow_build_side(self, force_shard_plan):
+        # an in-memory (pa.Table) build side over the limits takes the
         # shard join too
         bc = _sorted_df(hash_join(_left_ds(), _right_tbl(), "k", "rk", ["name"]), "k")
+        force_shard_plan()
         sh = _sorted_df(
-            hash_join(
-                _left_ds(), _right_tbl(), "k", "rk", ["name"],
-                broadcast_limit=0, num_shards=4,
-            ),
+            hash_join(_left_ds(), _right_tbl(), "k", "rk", ["name"], num_shards=4),
             "k",
         )
         pd.testing.assert_frame_equal(bc, sh[bc.columns])
 
-    def test_shard_path_left_join(self):
+    def test_shard_path_left_join(self, force_shard_plan):
         right_ds = ray.data.from_arrow(_right_tbl())
+        force_shard_plan()
         out = _sorted_df(
             hash_join(
-                _left_ds(),
-                right_ds,
-                "k",
-                "rk",
-                ["name"],
-                how="left",
-                broadcast_limit=0,
-                num_shards=4,
+                _left_ds(), right_ds, "k", "rk", ["name"], how="left", num_shards=4
             ),
             "k",
         )
@@ -107,7 +92,7 @@ class TestHashJoin:
         assert out.loc[out["k"] == 5, "name"].isna().all()
 
     @pytest.mark.parametrize("how", ["inner", "left"])
-    def test_shard_path_equal_key_names(self, how):
+    def test_shard_path_equal_key_names(self, how, force_shard_plan):
         # both sides keyed on "doc_id": the shard path must keep the
         # right side's key, or every match is dropped
         left = ray.data.from_arrow(
@@ -127,10 +112,10 @@ class TestHashJoin:
             )
         )
         bc = _sorted_df(hash_join(left, right, "doc_id", "doc_id", ["name"], how=how), "doc_id")
+        force_shard_plan()
         sh = _sorted_df(
             hash_join(
-                left, right, "doc_id", "doc_id", ["name"],
-                how=how, broadcast_limit=0, num_shards=4,
+                left, right, "doc_id", "doc_id", ["name"], how=how, num_shards=4
             ),
             "doc_id",
         )
@@ -138,7 +123,7 @@ class TestHashJoin:
         assert bc["name"].notna().sum() == 5
         pd.testing.assert_frame_equal(bc, sh[bc.columns])
 
-    def test_duplicate_build_keys_multiply(self):
+    def test_duplicate_build_keys_multiply(self, force_shard_plan):
         right = pa.table(
             {
                 "rk": pa.array([1, 1, 2], pa.int64()),
@@ -151,15 +136,10 @@ class TestHashJoin:
         assert out["k"].tolist() == [1, 1, 2]
         assert out["name"].tolist() == ["a", "b", "c"]
         # shard path agrees
+        force_shard_plan()
         sh = _sorted_df(
             hash_join(
-                _left_ds(),
-                ray.data.from_arrow(right),
-                "k",
-                "rk",
-                ["name"],
-                broadcast_limit=0,
-                num_shards=4,
+                _left_ds(), ray.data.from_arrow(right), "k", "rk", ["name"], num_shards=4
             ),
             ["k", "name"],
         )
@@ -233,6 +213,27 @@ class TestByteGate:
         )
         assert out[["k", "v", "name"]].equals(expected[["k", "v", "name"]])
 
+    def test_wide_dataset_side_is_never_collected(self, monkeypatch):
+        """The gate reads a Dataset side's block metadata: a side under the
+        ROW limit but over the BYTE limit goes to the shard join without
+        being collected to the driver first."""
+        import paper2table_ray.stages.joins as J
+
+        monkeypatch.setattr(J, "BROADCAST_BYTE_LIMIT", 16)
+        collected = []
+        orig = J._to_arrow_table
+
+        def spy(*a, **k):
+            collected.append(1)
+            return orig(*a, **k)
+
+        monkeypatch.setattr(J, "_to_arrow_table", spy)
+        right = ray.data.from_arrow(_right_tbl())
+        out = _sorted_df(J.hash_join(_left_ds(), right, "k", "rk", ["name"]), "k")
+        assert collected == []
+        assert out["k"].tolist() == [0, 1, 2, 3, 4, 6, 8, 9]
+        assert out["name"].tolist() == [f"n{k}" for k in out["k"]]
+
     def test_narrow_rows_still_broadcast(self, monkeypatch):
         import paper2table_ray.stages.joins as J
 
@@ -246,3 +247,114 @@ class TestByteGate:
         monkeypatch.setattr(J, "_broadcast_join", spy)
         out = _sorted_df(J.hash_join(_left_ds(), _right_tbl(), "k", "rk", ["name"]), ["k"])
         assert called.get("yes") and len(out) == 8
+
+
+def _pairs_ds():
+    # ids 5 and 7 of the side appear in no pair
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "a": pa.array([0, 1, 2, 8], pa.int64()),
+                "b": pa.array([1, 3, 4, 9], pa.int64()),
+            }
+        )
+    )
+
+
+def _feature_side():
+    ids = list(range(10))
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "id": pa.array(ids, pa.int64()),
+                "f": pa.array([f"f{i}" for i in ids], pa.string()),
+            }
+        )
+    )
+
+
+def _check_attached(out):
+    df = _sorted_df(out, "a")
+    assert df["a"].tolist() == [0, 1, 2, 8]
+    assert df["f_a"].tolist() == [f"f{i}" for i in df["a"]]
+    assert df["f_b"].tolist() == [f"f{i}" for i in df["b"]]
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestAttachPairSides:
+    def test_side_is_narrowed_to_the_pair_ids(self, monkeypatch):
+        """Within the row limit the broadcast collects only the features
+        of ids that occur in a pair, once for both joins."""
+        import paper2table_ray.stages.joins as J
+
+        collected = []
+        orig = J._to_arrow_table
+
+        def spy(side):
+            t = orig(side)
+            if t is not side:  # a Dataset side was collected
+                collected.append(sorted(t.column("id").to_pylist()))
+            return t
+
+        monkeypatch.setattr(J, "_to_arrow_table", spy)
+        _check_attached(
+            J.attach_pair_sides(_pairs_ds(), _feature_side(), "a", "b", "id", ["f"])
+        )
+        assert collected == [[0, 1, 2, 3, 4, 8, 9]]
+
+    def test_pairs_over_the_row_limit_never_reach_the_driver(self, monkeypatch):
+        """Above BROADCAST_ROW_LIMIT pairs no id set is collected: the
+        side goes to the gate un-narrowed (here over the limit too, so
+        both joins take the shard plan)."""
+        import paper2table_ray.stages.joins as J
+
+        monkeypatch.setattr(J, "BROADCAST_ROW_LIMIT", 2)
+        iterated = []
+        orig = ray.data.Dataset.iter_batches
+
+        def spy(self, *a, **k):
+            iterated.append(list(self.schema().names))
+            return orig(self, *a, **k)
+
+        monkeypatch.setattr(ray.data.Dataset, "iter_batches", spy)
+        out = J.attach_pair_sides(
+            _pairs_ds(), _feature_side(), "a", "b", "id", ["f"], num_shards=4
+        ).materialize()
+        assert iterated == []
+        monkeypatch.setattr(ray.data.Dataset, "iter_batches", orig)
+        _check_attached(out)
+
+    def test_no_pairs_attach_nothing(self):
+        """An empty pair set narrows the side to nothing, whatever the id
+        type (an untyped empty id set cannot probe a string column)."""
+        import paper2table_ray.stages.joins as J
+
+        pairs = ray.data.from_arrow(
+            pa.table({"a": pa.array([], pa.string()), "b": pa.array([], pa.string())})
+        )
+        side = ray.data.from_arrow(
+            pa.table({"id": pa.array(["x", "y"]), "f": pa.array(["fx", "fy"])})
+        )
+        assert J.attach_pair_sides(pairs, side, "a", "b", "id", ["f"]).count() == 0
+
+    def test_post_runs_on_attached_batches_of_any_size(self, monkeypatch):
+        """``post`` sees both sides' columns; one-row probe batches (the
+        byte budget below a row) give the same result."""
+        import paper2table_ray.stages.joins as J
+
+        import pyarrow.compute as pc
+
+        monkeypatch.setattr(J, "_PAIR_BATCH_BYTES", 1)
+
+        def post(t):
+            same = pc.equal(t.column("f_a"), t.column("f_b"))
+            return t.append_column("same", same).drop_columns(["f_a", "f_b"])
+
+        out = _sorted_df(
+            J.attach_pair_sides(
+                _pairs_ds(), _feature_side(), "a", "b", "id", ["f"], post=post
+            ),
+            "a",
+        )
+        assert out.columns.tolist() == ["a", "b", "same"]
+        assert out["a"].tolist() == [0, 1, 2, 8] and not out["same"].any()

@@ -117,13 +117,6 @@ class TestFilenormDistributed:
         assert got_drops == exp_drops
         assert got_rens == exp_rens
 
-        # the size-gated driver fast path produces the identical plan
-        fast = plan_actions_distributed(
-            ds, num_shards=4, driver_fast_path_limit=1_000
-        ).to_pandas()
-        key = lambda df: sorted(map(tuple, df[["action", "path", "target"]].values))
-        assert key(fast) == key(out)
-
 
 class TestMultimodal:
     def test_fake_backend_deterministic(self):

@@ -113,7 +113,7 @@ def test_embedding_cosine_dedup_pairs(ray_session):
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
-def test_hash_join_shard_path_equal_key_names(ray_session, how):
+def test_hash_join_shard_path_equal_key_names(ray_session, force_shard_plan, how):
     from paper2table_ray.stages.joins import hash_join
 
     left = ray.data.from_arrow(
@@ -122,17 +122,16 @@ def test_hash_join_shard_path_equal_key_names(ray_session, how):
     right = ray.data.from_arrow(
         pa.table({"doc_id": pa.array(range(0, 30, 3), pa.int64()), "name": [f"n{i}" for i in range(10)]})
     ).materialize()
+    force_shard_plan()
     rows = _same_at_every_width(
-        lambda w: hash_join(
-            left, right, "doc_id", "doc_id", ["name"], how=how, broadcast_limit=0, num_shards=w
-        )
+        lambda w: hash_join(left, right, "doc_id", "doc_id", ["name"], how=how, num_shards=w)
     )
     assert rows[0] == ["doc_id", "name", "v"]
     assert len(rows) - 1 == (10 if how == "inner" else 30)
     assert sum(r[1] is not None for r in rows[1:]) == 10
 
 
-def test_extract_spans_mapped_shardjoin(ray_session):
+def test_extract_spans_mapped_shardjoin(ray_session, force_shard_plan):
     from paper2table_ray.pipelines.extract import extract_spans_mapped, plan_mappings_ds
     from paper2table_ray.sources.synth import synth_docs_batch
 
@@ -154,7 +153,8 @@ def test_extract_spans_mapped_shardjoin(ray_session):
     )
     docs = ray.data.from_arrow(synth_docs_batch(raw)).materialize()
     mappings = plan_mappings_ds(docs).materialize()
+    force_shard_plan()
     rows = _same_at_every_width(
-        lambda w: extract_spans_mapped(docs, mappings, broadcast_limit=0, num_shards=w)
+        lambda w: extract_spans_mapped(docs, mappings, num_shards=w)
     )
     assert len(rows) > 1
