@@ -139,38 +139,12 @@ def cmd_tablemerge(argv: List[str]) -> int:
     from .pipelines.tablemerge import run_tablemerge
     from .state.settings import MergeSettings
 
-    def _inline_or_path(inline, path):
-        if inline is not None:
-            return inline
-        if path:
-            return open(path, encoding="utf-8").read().strip()
-        return None
-
-    schema_text = _inline_or_path(args.schema, args.schema_path)
+    # --settings loads a saved file; otherwise the flags map onto the
+    # settings fields by name (the *_path flags read their file's text)
     if args.settings:
         settings = MergeSettings.from_dict(json.load(open(args.settings)))
     else:
-        settings = MergeSettings(
-            column_names_hints=_inline_or_path(
-                args.column_names_hints, args.column_names_hints_path
-            ),
-            column_aliases=_inline_or_path(
-                args.column_aliases, args.column_aliases_path
-            ),
-            jaccard_column_alignment=args.jaccard_column_alignment,
-            agreement_method=args.agreement_method,
-            pretty=args.pretty,
-            paper_aliases=_inline_or_path(
-                args.paper_aliases, args.paper_aliases_path
-            ),
-            schema=schema_text,
-            filter_schema_columns=args.filter_schema_columns,
-            order_schema_columns=args.order_schema_columns,
-            coerce_schema_column_types=args.coerce_schema_column_types,
-            only_semantic_columns=args.only_semantic_columns,
-            remove_header_rows=args.remove_header_rows,
-            transform_tablesfile=args.transform_tablesfile,
-        )
+        settings = MergeSettings.from_args(args)
     summary = run_tablemerge(
         args.resultsets,
         args.output,

@@ -102,32 +102,18 @@ def curate_to_dir(
     sink = LineageSink(output_dir, num_partitions=num_partitions, stage="curate")
     docs = ray.data.read_parquet(input_parquet, columns=["doc_id", "text"])
 
-    def stamp_str_ids(batch: pa.Table) -> pa.Table:
-        # lineage partitions key on a string id
-        ids = [str(d) for d in batch.column("doc_id").to_pylist()]
-        return batch.append_column("doc_key", pa.array(ids, pa.string()))
-
-    docs = docs.map_batches(stamp_str_ids, batch_format="pyarrow")
-    docs = sink.add_partition_column(docs, id_col="doc_key")
-    docs = sink.filter_pending(docs)
+    docs = sink.filter_pending(sink.add_partition_column(docs))
     docs = docs.map_batches(
         lambda b: b.drop_columns(["partition_id"]), batch_format="pyarrow"
     )
 
     full_corpus = ray.data.read_parquet(input_parquet, columns=["doc_id", "text"])
     curated = curate_pipeline(
-        docs.map_batches(
-            lambda b: b.drop_columns(["doc_key"]), batch_format="pyarrow"
-        ),
+        docs,
         langs=langs,
         min_quality=min_quality,
         dedup=dedup,
         redact=redact,
         dedup_base=full_corpus,
     )
-    curated = curated.map_batches(stamp_str_ids, batch_format="pyarrow")
-    curated = sink.add_partition_column(curated, id_col="doc_key")
-    curated = curated.map_batches(
-        lambda b: b.drop_columns(["doc_key"]), batch_format="pyarrow"
-    )
-    return sink.write(curated)
+    return sink.write(sink.add_partition_column(curated))

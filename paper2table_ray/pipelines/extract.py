@@ -1,8 +1,12 @@
 """The flagship extraction pipeline (Ray Data wiring).
 
-read docs → (optional size-bucket repartition) → SpanExtractor task stage
-(worker-cached, stages/workercache.py) → ordered span table → partitioned
-parquet sink (resumable).
+read docs → SpanExtractor task stage (worker-cached,
+stages/workercache.py) → ordered span table. ``extract_pipeline`` is
+``extract_spans(synth_docs_dataset(sf_dir))``: Ray Data fuses the synth
+map with the extractor map into one task
+(``MapBatches(synth)->MapBatches(...)`` in ``stats()``), so the wide
+interleaved docs stay on the worker's heap and never reach the object
+store. ``bench.py`` times that same composition.
 
 Scale notes (SURVEY.md §4): the extractor is CPU-bound per doc with skewed
 doc sizes, so (a) batches are small (docs-per-batch, not rows), (b) the
@@ -16,7 +20,6 @@ doc's mapping with ``stages/joins.hash_join``.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import ray.data
@@ -29,7 +32,6 @@ from ..stages.workercache import worker_cached
 def synth_docs_dataset(
     sf_dir: str,
     seed: int = DEFAULT_SEED,
-    parallelism: Optional[int] = None,
     repeat: int = 1,
 ) -> ray.data.Dataset:
     """documents.parquet → interleaved-doc Dataset (synthesis runs inside
@@ -37,21 +39,19 @@ def synth_docs_dataset(
 
     ``repeat`` replicates the corpus with distinct doc ids (seed varied
     per replica) — the scaling audit uses it to grow the workload past
-    fixed overheads without external data. ``parallelism`` defaults to
-    4× cluster CPUs so a single small parquet file doesn't collapse the
-    whole downstream pipeline into one block."""
+    fixed overheads without external data. The read is split into 4×
+    cluster CPUs blocks so a single small parquet file doesn't collapse
+    the whole downstream pipeline into one block."""
     import ray as _ray
 
-    if parallelism is None and _ray.is_initialized():
-        parallelism = 4 * int(_ray.cluster_resources().get("CPU", 4))
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text"],  # prune at the read
     )
-    if parallelism:
+    if _ray.is_initialized():
         # the sf parquet files are single-row-group → ONE block → every
         # downstream map stage would run in one task; split first
-        ds = ds.repartition(parallelism)
+        ds = ds.repartition(4 * int(_ray.cluster_resources().get("CPU", 4)))
 
     def synth(batch):
         # replication happens INSIDE one operator — a union of R branches
@@ -74,29 +74,6 @@ def synth_docs_dataset(
         return pa.concat_tables(tables)
 
     return ds.map_batches(synth, batch_format="pyarrow", batch_size=64)
-
-
-def add_size_buckets(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Stamp ``size_bucket = floor(log2(doc_bytes))`` for skew-aware
-    scheduling (north_rule). Cheap vectorized pass; callers can
-    ``repartition``/sort on it when a downstream stage needs balanced
-    blocks."""
-
-    def bucket(batch):
-        sizes = [
-            sum(len(s["text"]) + len(s["media_ref"]) for s in spans) if spans else 0
-            for spans in batch.column("spans").to_pylist()
-        ]
-        import pyarrow as pa
-
-        return batch.append_column(
-            "size_bucket",
-            pa.array(
-                [int(math.log2(max(1, s))) for s in sizes], type=pa.int32()
-            ),
-        )
-
-    return ds.map_batches(bucket, batch_format="pyarrow")
 
 
 def extract_spans(
@@ -123,83 +100,10 @@ def extract_pipeline(
     sf_dir: str,
     config: Optional[ExtractConfig] = None,
     seed: int = DEFAULT_SEED,
-    output_path: Optional[str] = None,
 ) -> ray.data.Dataset:
     """End-to-end: synthesize interleaved docs from the sf dir, extract
-    ordered spans; optionally write to the storage seam (Lance when
-    available, partitioned parquet otherwise — sources/io.py)."""
-    docs = synth_docs_dataset(sf_dir, seed=seed)
-    spans = extract_spans(docs, config=config)
-    if output_path:
-        from ..sources.io import write_table
-
-        write_table(spans, output_path)
-    return spans
-
-
-class SynthExtract:
-    """Fused synth→extract stage: documents.parquet rows → interleaved
-    docs (in-memory, never serialized) → output spans.
-
-    Why fused: the interleaved doc blocks are ~5-10× larger than both their
-    parquet source and the span output; shipping them through the object
-    store between a synth stage and the extract stage makes the
-    pipeline plasma-bound (object-store writes serialize under memory
-    pressure — measured ANTI-scaling 8→32 cpus). One stage keeps the fat
-    intermediate on the worker's heap. On a deployment reading real
-    interleaved Lance input there is no synth stage and the extractor reads
-    the source directly — same shape."""
-
-    def __init__(self, seed: int = DEFAULT_SEED, repeat: int = 1, config=None):
-        self.seed = seed
-        self.repeat = max(1, repeat)
-        self.extractor = SpanExtractor(config)
-
-    def __call__(self, batch):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        outs = []
-        for rep in range(self.repeat):
-            docs = synth_docs_batch(batch, self.seed + rep * 1_000_003)
-            if rep:
-                docs = docs.set_column(
-                    docs.schema.get_field_index("doc_id"),
-                    "doc_id",
-                    pc.binary_join_element_wise(
-                        docs.column("doc_id"), pa.scalar(f"r{rep}"), "~"
-                    ),
-                )
-            outs.append(self.extractor(docs))
-        return pa.concat_tables(outs)
-
-
-def extract_pipeline_fused(
-    sf_dir: str,
-    config: Optional[ExtractConfig] = None,
-    seed: int = DEFAULT_SEED,
-    repeat: int = 1,
-    batch_size: int = 16,
-) -> ray.data.Dataset:
-    """Flagship with synth+extract fused in one task stage (see
-    SynthExtract). The benchmark headline uses this path."""
-    import ray as _ray
-
-    parallelism = None
-    if _ray.is_initialized():
-        parallelism = 4 * int(_ray.cluster_resources().get("CPU", 4))
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text"],
-    )
-    if parallelism:
-        ds = ds.repartition(parallelism)  # single-row-group source → split
-    return ds.map_batches(
-        worker_cached(SynthExtract, seed=seed, repeat=repeat, config=config),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-    )
+    ordered spans (synth and extract run fused in one task stage)."""
+    return extract_spans(synth_docs_dataset(sf_dir, seed=seed), config=config)
 
 
 def plan_mappings_ds(

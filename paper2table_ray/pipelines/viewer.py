@@ -405,58 +405,17 @@ def build_viewer_html(
     metadata: Optional[dict] = None,
     settings: Optional[dict] = None,
     uuid_to_reader: Optional[dict] = None,
-    paper_sections: Optional[List[str]] = None,
 ) -> str:
-    """Assemble the full page. ``paper_sections``: pre-rendered section
-    HTML per paper (the distributed path); rendered inline otherwise."""
-    if paper_sections is None:
-        paper_sections = [
-            build_paper_section(i, name, tf, uuid_to_reader)
-            for i, (name, tf) in enumerate(papers)
-        ]
+    """Assemble the full page from in-memory ``(name, tablesfile)``
+    papers (report-sized inputs; :func:`write_viewer_html` is the
+    distributed file sink and writes the same bytes)."""
     return (
         _viewer_head(papers, title, metadata, settings)
-        + "".join(paper_sections)
-        + _viewer_tail()
-    )
-
-
-def cells_to_viewer_html(
-    cells: ray.data.Dataset,
-    title: str = "tables",
-    metadata: Optional[dict] = None,
-    settings: Optional[dict] = None,
-    uuid_to_reader: Optional[dict] = None,
-) -> str:
-    """Distributed viewer returning ONE string: per-paper section HTML
-    renders inside the doc groupby (coarse-shard); the driver assembles
-    the shell + TOC from a small per-paper manifest. The returned string
-    is inherently driver-sized — use :func:`write_viewer_html` (the
-    streaming file sink) for corpus-scale inputs; this stays for
-    report-sized resultsets and tests."""
-    pieces = (
-        _render_pieces(cells, uuid_to_reader)
-        .to_pandas()
-        .reindex(columns=_PIECE_COLUMNS)
-        .sort_values(["doc_id", "name"])
-        .reset_index(drop=True)
-    )
-    import json as _json
-
-    sections, toc_papers = [], []
-    for i, row in pieces.iterrows():
-        sections.append(row["html"].replace("paper-__PID__", f"paper-{i}"))
-        manifest = _json.loads(row["toc_json"])
-        toc_papers.append(
-            (manifest["name"], {"tables": _toc_tables(manifest["fragments"])})
+        + "".join(
+            build_paper_section(i, name, tf, uuid_to_reader)
+            for i, (name, tf) in enumerate(papers)
         )
-    return build_viewer_html(
-        toc_papers,
-        title=title,
-        metadata=metadata,
-        settings=settings,
-        uuid_to_reader=uuid_to_reader,
-        paper_sections=sections,
+        + _viewer_tail()
     )
 
 
@@ -504,7 +463,8 @@ def write_viewer_html(
     uuid_to_reader: Optional[dict] = None,
 ) -> int:
     """Streaming viewer FILE sink (byte-identical to
-    ``cells_to_viewer_html`` output): sections render distributed; the
+    :func:`build_viewer_html` over the decoded trees in ``(doc_id, name)``
+    order): sections render distributed; the
     driver holds only (a) the slim TOC manifest — O(papers) name/page
     rows, read via ``select_columns`` so section HTML never ships for the
     TOC pass — and (b) one batch of rendered HTML at a time, appended to

@@ -105,6 +105,3 @@ class BoilerplateStripper:
                 buf_link_chars += len(tail.strip())
         flush()
         return blocks
-
-    def extract_text(self, html: str) -> str:
-        return " ".join(self.extract_blocks(html))

@@ -591,26 +591,6 @@ def simhash_pairs(
     return exploded.groupby("shard").map_groups(shard_pairs, batch_format="pandas")
 
 
-def ngram_jaccard_pairs(
-    docs: ray.data.Dataset,
-    threshold: float = 0.5,
-    shingle_k: int = 3,
-    num_perm: int = 128,
-    bands: int = 32,
-) -> ray.data.Dataset:
-    """Exact word-n-gram Jaccard near-dup pairs, LSH-pruned (high band
-    count → high recall at moderate thresholds), always exact-verified on
-    the hashed shingle sets."""
-    return minhash_lsh_pairs(
-        docs,
-        threshold=threshold,
-        num_perm=num_perm,
-        bands=bands,
-        shingle_k=shingle_k,
-        exact_verify=True,
-    )
-
-
 _JACCARD_WORD_RE = None  # compiled lazily per worker
 
 
@@ -670,9 +650,9 @@ def exact_jaccard_pairs(
     num_shards: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT word-trigram Jaccard near-dup pairs — the verification
-    baseline for the LSH family (``ngram_jaccard_pairs`` /
-    ``minhash_lsh_pairs`` are the scale paths, same relationship as
-    ``exact_embedding_dedup`` to the sign-LSH variant).
+    baseline for the LSH family (``minhash_lsh_pairs`` is the scale
+    path, same relationship as ``exact_embedding_dedup`` to the sign-LSH
+    variant).
 
     Shape: docs → distinct (shingle, doc_id) rows → coarse-shard groupby
     on hash(shingle) emits intersection-count contributions per doc pair
@@ -682,7 +662,7 @@ def exact_jaccard_pairs(
     threshold. Exactness requires every co-occurrence to be counted, so
     hot shingles are NOT capped here and pair GENERATION is
     Σ C(|shingle group|, 2) — quadratic on hot shingles by definition.
-    At corpus scale use the LSH variant (``ngram_jaccard_pairs``) and
+    At corpus scale use the LSH variant (``minhash_lsh_pairs``) and
     reserve this op for verification slices, which is also why it is
     not in the bench suite.
     """
@@ -856,6 +836,25 @@ def near_dup_clusters(
         .materialize()
     )
 
+    def lower(candidate: str, old: str):
+        # label ← min(label, candidate), keeping the round-start label
+        # (column ``old``) for the round's convergence count
+        def fn(b: pa.Table) -> pa.Table:
+            return pa.table(
+                {
+                    "node": b.column("node"),
+                    "label": pc.min_element_wise(
+                        b.column("label"),
+                        pc.fill_null(
+                            b.column(candidate), pa.scalar(2**62, pa.int64())
+                        ),
+                    ),
+                    "old": b.column(old),
+                }
+            )
+
+        return fn
+
     for _ in range(max_iter):
         # ship each src's label to dst, take the min incoming per node
         incoming = (
@@ -865,62 +864,26 @@ def near_dup_clusters(
         )
         new_labels = hash_join(
             labels, incoming, "node", "dst", ["in_min"], how="left"
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "node": b.column("node"),
-                    "label": pc.min_element_wise(
-                        b.column("label"),
-                        pc.fill_null(
-                            b.column("in_min"), pa.scalar(2**62, pa.int64())
-                        ),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        ).materialize()
+        ).map_batches(lower("in_min", "label"), batch_format="pyarrow").materialize()
 
         # pointer doubling: label[v] ← min(label[v], label[label[v]]) —
         # halves the label forest's depth each round, so convergence is
         # O(log diameter) instead of O(diameter) (a long chain of
         # near-identical docs would otherwise need diameter rounds)
         lbl_of_lbl = new_labels.map_batches(
-            lambda b: b.rename_columns(["lnode", "llabel"]),
+            lambda b: pa.table({"lnode": b.column("node"), "llabel": b.column("label")}),
             batch_format="pyarrow",
         )
-        new_labels = hash_join(
+        labels = hash_join(
             new_labels, lbl_of_lbl, "label", "lnode", ["llabel"], how="left"
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "node": b.column("node"),
-                    "label": pc.min_element_wise(
-                        b.column("label"),
-                        pc.fill_null(
-                            b.column("llabel"), pa.scalar(2**62, pa.int64())
-                        ),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        ).materialize()
+        ).map_batches(lower("llabel", "old"), batch_format="pyarrow").materialize()
 
-        changed = hash_join(
-            new_labels,
-            labels.map_batches(
-                lambda b: b.rename_columns(["node", "old_label"]),
-                batch_format="pyarrow",
-            ),
-            "node",
-            "node",
-            ["old_label"],
-        ).map_batches(
-            lambda b: b.filter(
-                pc.not_equal(b.column("label"), b.column("old_label"))
-            ),
+        # labels never increase, so the round changed nothing iff every
+        # node still holds its round-start label
+        changed = labels.map_batches(
+            lambda b: b.filter(pc.not_equal(b.column("label"), b.column("old"))),
             batch_format="pyarrow",
         )
-        labels = new_labels
         if changed.count() == 0:
             break
 

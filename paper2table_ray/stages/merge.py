@@ -230,7 +230,7 @@ class TableFragmentBuilder:
 
     def merge_and_append(self, left: Row, right: Row):
         # merge_rows output cells are built from normalized cells and its
-        # agreement_level is always set → already _append-normal form
+        # agreement_level is always set → already normalized form
         self.rows.append(
             merge_rows(
                 left,
@@ -250,9 +250,6 @@ class TableFragmentBuilder:
             "rows": [r for r in self.rows if not rm.row_is_empty_normalized(r)],
             "page": self.page,
         }
-
-    def _append(self, row: Row):
-        self.rows.append(rm.normalize_row(row, self._do_agreement))
 
 
 # --- merger (tablesfile_merger.py) ------------------------------------------

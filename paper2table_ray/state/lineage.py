@@ -90,13 +90,17 @@ class LineageSink:
     # -- pipeline hooks ------------------------------------------------------
 
     def add_partition_column(self, ds: ray.data.Dataset, id_col: str = "doc_id"):
+        """Stamp ``partition_id = partition_of(id)``. A non-string id
+        places by its text (an int64 casts to what ``str()`` gives)."""
         num_partitions = self.num_partitions
 
         def stamp(batch: pa.Table) -> pa.Table:
-            pids = [
-                partition_of(d, num_partitions)
-                for d in batch.column(id_col).to_pylist()
-            ]
+            import pyarrow.compute as pc
+
+            ids = batch.column(id_col)
+            if not pa.types.is_string(ids.type):
+                ids = pc.cast(ids, pa.string())
+            pids = [partition_of(d, num_partitions) for d in ids.to_pylist()]
             return batch.append_column(
                 "partition_id", pa.array(pids, type=pa.int32())
             )

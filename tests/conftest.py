@@ -74,3 +74,34 @@ def synth_resultset_dirs(tmp_path):
         return sorted(str(root / uuid) for uuid in RUN_READERS)
 
     return make
+
+
+@pytest.fixture
+def viewer_html_of():
+    """Return ``f(cells, **page_kw)``: ``build_viewer_html`` over the trees
+    that ``table_to_doc_tablesfiles`` decodes from a cells Dataset, in
+    ``write_viewer_html``'s ``(doc_id, name)`` order, one paper per source
+    (``"<doc> [<uuid>]"``) for multi-source docs. It is the in-memory
+    page the streaming sink must match byte for byte."""
+    import pyarrow as pa
+    import ray
+
+    from paper2table_ray.pipelines.viewer import build_viewer_html
+    from paper2table_ray.schema import CELLS_SCHEMA, table_to_doc_tablesfiles
+
+    def render(cells, **page_kw):
+        table = pa.concat_tables(
+            [CELLS_SCHEMA.empty_table()]
+            + [t.select(CELLS_SCHEMA.names) for t in ray.get(cells.to_arrow_refs())]
+        )
+        papers = sorted(
+            (
+                (doc_id, doc_id if len(tfs) == 1 else f"{doc_id} [{uuid}]", tf)
+                for doc_id, tfs in table_to_doc_tablesfiles(table)
+                for uuid, tf in tfs.items()
+            ),
+            key=lambda p: p[:2],
+        )
+        return build_viewer_html([(name, tf) for _, name, tf in papers], **page_kw)
+
+    return render

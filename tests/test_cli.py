@@ -46,6 +46,104 @@ class TestCliFlows:
         assert main(["tablevalidate", f"{out_dir}/*.tables.json", "--all"]) == 0
         assert main(["tablevalidate", f"{out_dir}/tables.metadata.json"]) == 0
 
+    def test_merge_stats_csv_html_validate_synth(
+        self, tmp_path, capsys, synth_resultset_dirs, viewer_html_of
+    ):
+        # the same chain over synthesized resultsets, so it runs on any
+        # checkout: tablestats' column probe and text report and the
+        # viewer's section render are reached without the reference
+        from paper2table_ray.sources.tablesfile_json import (
+            load_metadata,
+            read_resultsets,
+        )
+
+        merged = tmp_path / "merged"
+        assert main(["tablemerge", *synth_resultset_dirs(n_docs=12),
+                     "-o", str(merged)]) == 0
+        out_dir = str(next(merged.iterdir()))
+
+        stats_file = tmp_path / "stats.json"
+        assert main(["tablestats", out_dir, "-o", str(stats_file)]) == 0
+        stats = json.loads(stats_file.read_text())
+        assert stats["papers"] == 12 and stats["rows"] > 0
+        assert stats["columns"]  # the column probe ran
+        text_file = tmp_path / "stats.txt"
+        assert main(["tablestats", out_dir, "--format", "text",
+                     "-o", str(text_file)]) == 0
+        text = text_file.read_text()
+        assert text.startswith("Global Stats:\n  Papers: 12")
+        for d in range(12):
+            assert f"- doc_{d:06d}.tables.json:" in text
+        assert "Unique Columns:" in text
+
+        csv_dir = tmp_path / "csvs"
+        assert main(["table2csv", out_dir, "-o", str(csv_dir)]) == 0
+        assert any(p.endswith(".csv") for p in os.listdir(csv_dir))
+
+        html_file = tmp_path / "out.html"
+        assert main(["table2html", out_dir, "-o", str(html_file)]) == 0
+        metadata = load_metadata(out_dir)
+        assert all(isinstance(s, str) for s in metadata["sources"])
+        expected = viewer_html_of(
+            read_resultsets([out_dir]),
+            title=os.path.basename(out_dir),
+            metadata=metadata,
+            settings=json.loads(
+                (Path(out_dir) / "settings.tablemerge.json").read_text()
+            ),
+            # the merged metadata lists its sources as bare uuids, so the
+            # CLI finds no uuid → reader pairs in it
+            uuid_to_reader={},
+        )
+        assert html_file.read_text(encoding="utf-8") == expected
+
+        assert main(["tablevalidate", f"{out_dir}/*.tables.json", "--all"]) == 0
+        assert main(["tablevalidate", f"{out_dir}/tables.metadata.json"]) == 0
+
+    def test_tablemerge_settings_file_from_every_path_flag(
+        self, tmp_path, synth_resultset_dirs
+    ):
+        # the flags map onto MergeSettings by name; each *_path flag
+        # lands as its file's stripped text in the written settings file
+        from paper2table_ray.state.settings import MergeSettings
+
+        texts = {
+            "column-names-hints": "family, species",
+            "column-aliases": "familia:family",
+            "paper-aliases": "doc_000001:doc_000002",
+            "schema": "family:str",
+        }
+        flags = []
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text + "\n", encoding="utf-8")
+            flags += [f"--{name}-path", str(path)]
+        merged = tmp_path / "merged"
+        assert main([
+            "tablemerge", *synth_resultset_dirs(n_docs=4), "-o", str(merged),
+            *flags, "--jaccard-column-alignment",
+            "--agreement-method", "distinct-readers", "--pretty",
+            "--filter-schema-columns", "--order-schema-columns",
+            "--coerce-schema-column-types", "--remove-header-rows",
+        ]) == 0
+        expected = MergeSettings(
+            column_names_hints=texts["column-names-hints"],
+            column_aliases=texts["column-aliases"],
+            paper_aliases=texts["paper-aliases"],
+            schema=texts["schema"],
+            jaccard_column_alignment=True,
+            agreement_method="distinct-readers",
+            pretty=True,
+            filter_schema_columns=True,
+            order_schema_columns=True,
+            coerce_schema_column_types=True,
+            remove_header_rows=True,
+        )
+        written = next(merged.iterdir()) / "settings.tablemerge.json"
+        assert written.read_text(encoding="utf8") == json.dumps(
+            expected.to_dict(), ensure_ascii=False, indent=2
+        )
+
     def test_merge_then_csv_on_empty_resultset(self, tmp_path, capsys):
         # a resultset directory with no .tables.json files merges to an
         # empty resultset, and table2csv over that writes no CSVs

@@ -497,6 +497,37 @@ class TestNearDupClusters:
         assert len(out) == n
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_near_dup_clusters_joins_three_times_per_round(monkeypatch):
+    """The convergence count reads the round's own label table, so a
+    round makes three ``hash_join`` calls: label shipping, the incoming
+    minimum and pointer doubling."""
+    import paper2table_ray.stages.joins as joins
+
+    calls = []
+    real = joins.hash_join
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(joins, "hash_join", counting)
+    n = 40  # a path graph needs more than two rounds
+    pairs = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_a": pa.array(list(range(n - 1)), pa.int64()),
+                "doc_b": pa.array(list(range(1, n)), pa.int64()),
+            }
+        )
+    )
+    for rounds in (1, 2):
+        calls.clear()
+        out = dd.near_dup_clusters(pairs, max_iter=rounds).to_pandas()
+        assert len(out) == n
+        assert len(calls) == 3 * rounds
+
+
 @pytest.mark.parametrize("typ", [pa.binary(), pa.large_binary()])
 def test_u32_rows_views_match_unpacked_bytes(typ):
     """The verify's per-row views equal each row's unpacked bytes, on a

@@ -272,6 +272,31 @@ class TestCuratePipeline:
         # full output restored, identical row count
         assert len(read_extracted(out).to_pandas()) == len(curated)
 
+    def test_int_ids_place_by_their_text(self, tmp_path):
+        # int64 doc ids are stamped through a string cast: each curated
+        # row lands in partition_of(str(doc_id)), as a hand-made key would
+        import pyarrow as pa
+        import ray.data
+
+        from paper2table_ray.pipelines.curate import curate_to_dir
+
+        ids = pa.array([0, 7, -3, 2**40, 123456789], pa.int64())
+        sink = LineageSink(str(tmp_path / "stamp"), num_partitions=8)
+        stamped = sink.add_partition_column(
+            ray.data.from_arrow(pa.table({"doc_id": ids}))
+        ).to_pandas()
+        assert list(stamped["partition_id"]) == [
+            partition_of(str(d), 8) for d in stamped["doc_id"]
+        ]
+
+        out = str(tmp_path / "curated")
+        summary = curate_to_dir(self.SF, out, num_partitions=8)
+        assert (summary["status"] == "ok").all()
+        for pid in summary["partition_id"]:
+            part = pd.read_parquet(os.path.join(out, f"part-{pid:05d}.parquet"))
+            assert len(part) > 0
+            assert {partition_of(str(d), 8) for d in part["doc_id"]} == {pid}
+
     def test_dedup_semi_join_drops_duplicates(self):
         import pyarrow as pa
         import ray.data

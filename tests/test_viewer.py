@@ -14,7 +14,6 @@ from paper2table_ray.pipelines.viewer import (
     build_fragment_html,
     build_paper_sources_html,
     build_viewer_html,
-    cells_to_viewer_html,
     compute_rowspans,
     reader_emoji,
     render_citation,
@@ -152,23 +151,35 @@ class TestFullPage:
 
 @pytest.mark.usefixtures("ray_session")
 class TestDistributedViewer:
-    def test_cells_to_viewer_html_renders_all_docs(self):
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_write_viewer_html_renders_all_docs(
+        self, tmp_path, synth_resultset_dirs, viewer_html_of, n_runs
+    ):
+        # the streaming sink writes the same bytes as build_viewer_html
+        # over the decoded trees; with 3 runs every doc has 3 sources and
+        # renders one "<doc> [<uuid>]" paper per source
+        from paper2table_ray.pipelines.viewer import write_viewer_html
         from paper2table_ray.sources.tablesfile_json import read_resultsets
-        import glob
 
-        dirs = sorted(glob.glob("/root/reference/tests/data/demo_resultsets/*/"))[:1]
-        cells = read_resultsets(dirs)
-        html = cells_to_viewer_html(cells, title="demo")
-        doc_ids = sorted(set(r["doc_id"] for r in cells.select_columns(["doc_id"]).take_all()))
-        for i, d in enumerate(doc_ids):
+        dirs = synth_resultset_dirs(n_docs=30)[:n_runs]
+        out = tmp_path / "v.html"
+        n = write_viewer_html(read_resultsets(dirs), str(out), title="demo")
+        html = out.read_text(encoding="utf-8")
+        assert html == viewer_html_of(read_resultsets(dirs), title="demo")
+        assert n == 30 * n_runs
+        for i in range(n):
             assert f"id='paper-{i}'" in html
-            assert f"<h3>{d}</h3>" in html
+        for d in range(30):
+            name = f"doc_{d:06d}" if n_runs == 1 else f"doc_{d:06d} [run-aaaa]"
+            assert f"<h3>{name}</h3>" in html
         assert '<nav id="toc">' in html
 
     @pytest.mark.skipif(
         not REF_DIR.exists(), reason="reference checkout unavailable"
     )
-    def test_write_viewer_html_streaming_sink_matches_string_path(self, tmp_path):
+    def test_write_viewer_html_streaming_sink_matches_string_path(
+        self, tmp_path, viewer_html_of
+    ):
         # the streaming file sink must be byte-identical to the
         # driver-assembled string (same sections, same TOC, same order)
         import glob
@@ -178,7 +189,7 @@ class TestDistributedViewer:
 
         dirs = sorted(glob.glob("/root/reference/tests/data/demo_resultsets/*/"))
         cells = read_resultsets(dirs)
-        expected = cells_to_viewer_html(
+        expected = viewer_html_of(
             read_resultsets(dirs), title="demo", metadata={"datetime": "x"}
         )
         out = tmp_path / "v.html"
@@ -216,12 +227,14 @@ class TestEmptyCorpus:
 
         return ray.data.from_arrow(CELLS_SCHEMA.empty_table())
 
-    def test_cells_to_viewer_html_matches_streaming_sink(self, tmp_path):
+    def test_write_viewer_html_matches_build_viewer_html(
+        self, tmp_path, viewer_html_of
+    ):
         from paper2table_ray.pipelines.viewer import write_viewer_html
 
         out = tmp_path / "empty.html"
         assert write_viewer_html(self._empty(), str(out), title="demo") == 0
-        html = cells_to_viewer_html(self._empty(), title="demo")
+        html = viewer_html_of(self._empty(), title="demo")
         assert html.encode("utf-8") == out.read_bytes()
 
     def test_collect_unique_columns_is_empty(self):
