@@ -675,18 +675,12 @@ def q_revenue_by_brand(sf_dir: str):
 
 def q_user_sessions(sf_dir: str):
     """Sessionization (30-min inactivity gap) — the streaming-window
-    operator as partitioned batch: coarse shard on user hash → in-shard
-    vectorized gap/cumsum (no per-user groups cross the shuffle)."""
+    operator as partitioned batch: ``groupby_apply_table`` on ``user_id``
+    → in-shard vectorized gap/cumsum (no per-user groups cross the
+    shuffle)."""
+    from ..stages.shuffle import groupby_apply_table
+
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    from ..stages.shuffle import default_num_shards
-
-    num_shards = default_num_shards()  # shuffle width scales with cluster
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array((uid % num_shards).astype(np.int32))
-        )
 
     def sessionize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"])
@@ -698,12 +692,9 @@ def q_user_sessions(sf_dir: str):
         )
         return out
 
-    out = (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(sessionize, batch_format="pandas")
-        .to_pandas()
-    )
+    out = groupby_apply_table(
+        ds, "user_id", lambda t: sessionize(t.to_pandas())
+    ).to_pandas()
     out["n_events"] = out["n_events"].astype("int64")
     return out.sort_values(["user_id", "session_id"]).reset_index(drop=True)
 
@@ -1143,20 +1134,16 @@ def q_asof_event_order(sf_dir: str):
     """As-of join (custom operator per SURVEY custom-op list): each event
     joined to the user's most recent order at-or-before the event time.
 
-    Ray shape: both sides tagged + coarse-sharded on the user key, ONE
-    shuffle co-locates a user's events and orders, pandas ``merge_asof``
-    (backward, by=user) inside the shard — no per-user groups cross the
-    wire. Ties on order date break to the highest order key (matches the
-    oracle's ORDER BY ... DESC LIMIT 1)."""
-    from ..stages.shuffle import default_num_shards
-
-    num_shards = default_num_shards()  # shuffle width scales with cluster
+    Ray shape: both sides tagged and unioned, ONE ``groupby_apply_table``
+    exchange on ``user_id`` co-locates a user's events and orders, pandas
+    ``merge_asof`` (backward, by=user) inside the shard — no per-user
+    groups cross the wire. Ties on order date break to the highest order
+    key (matches the oracle's ORDER BY ... DESC LIMIT 1)."""
+    from ..stages.shuffle import groupby_apply_table
 
     def tag_events(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "shard": pa.array((uid % num_shards).astype(np.int32)),
                 "is_event": pa.array([True] * batch.num_rows),
                 "user_id": batch.column("user_id"),
                 "ts": batch.column("ts"),
@@ -1166,10 +1153,8 @@ def q_asof_event_order(sf_dir: str):
         )
 
     def tag_orders(batch: pa.Table) -> pa.Table:
-        cust = batch.column("o_custkey").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "shard": pa.array((cust % num_shards).astype(np.int32)),
                 "is_event": pa.array([False] * batch.num_rows),
                 "user_id": batch.column("o_custkey"),
                 "ts": batch.column("o_orderdate"),
@@ -1206,11 +1191,9 @@ def q_asof_event_order(sf_dir: str):
         )
         return merged[["event_id", "user_id", "ts", "last_orderkey"]]
 
-    out = (
-        both.groupby("shard")
-        .map_groups(asof_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    out = groupby_apply_table(
+        both, "user_id", lambda t: asof_shard(t.to_pandas())
+    ).to_pandas()
     out["event_id"] = out["event_id"].astype("int64")
     # -1 sentinel for "no prior order" keeps the column int64 on both
     # sides (nullable BIGINT would come back float64 from one engine and
@@ -1227,15 +1210,11 @@ def q_range_join_order_events(sf_dir: str):
     the shard a per-user ``searchsorted`` over the sorted event times
     answers every order's interval in O(log n) — no quadratic pair
     intermediate ever materializes."""
-    from ..stages.shuffle import default_num_shards
-
-    num_shards = default_num_shards()  # shuffle width scales with cluster
+    from ..stages.shuffle import groupby_apply_table
 
     def tag_events(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "shard": pa.array((uid % num_shards).astype(np.int32)),
                 "is_event": pa.array([True] * batch.num_rows),
                 "user_id": batch.column("user_id"),
                 "ts": batch.column("ts"),
@@ -1244,10 +1223,8 @@ def q_range_join_order_events(sf_dir: str):
         )
 
     def tag_orders(batch: pa.Table) -> pa.Table:
-        cust = batch.column("o_custkey").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "shard": pa.array((cust % num_shards).astype(np.int32)),
                 "is_event": pa.array([False] * batch.num_rows),
                 "user_id": batch.column("o_custkey"),
                 "ts": batch.column("o_orderdate"),
@@ -1285,11 +1262,9 @@ def q_range_join_order_events(sf_dir: str):
             out_n.extend((hi - lo).tolist())
         return pd.DataFrame({"o_orderkey": out_k, "n_events_24h": out_n})
 
-    out = (
-        both.groupby("shard")
-        .map_groups(count_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    out = groupby_apply_table(
+        both, "user_id", lambda t: count_shard(t.to_pandas())
+    ).to_pandas()
     out["o_orderkey"] = out["o_orderkey"].astype("int64")
     out["n_events_24h"] = out["n_events_24h"].astype("int64")
     return out.sort_values("o_orderkey").reset_index(drop=True)

@@ -180,7 +180,7 @@ def run_tablemerge(
         output_dir,
         uuid,
         reader="tablemerge",
-        sources=sorted(uuid_to_reader),
+        sources=[{"uuid": u, "reader": r} for u, r in sorted(uuid_to_reader.items())],
         force_update=force_update,
         pretty=settings.pretty,
     )

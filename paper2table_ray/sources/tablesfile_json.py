@@ -375,12 +375,13 @@ def resultset_writer(
     output_dir: str,
     resultset_uuid: str,
     reader: str = "merged",
-    sources: Optional[List[str]] = None,
+    sources: Optional[List[dict]] = None,
     force_update: bool = False,
     pretty: bool = False,
 ) -> Callable[[Iterable[Tuple[str, dict]]], pd.DataFrame]:
     """Create ``<out>/<uuid>/`` with its ``tables.metadata.json`` (written
-    once) and return the shard-level writer: ``(doc_id, tablesfile tree)``
+    once; ``sources`` lists the merged resultsets as ``{uuid, reader}``
+    dicts) and return the shard-level writer: ``(doc_id, tablesfile tree)``
     pairs in doc_id order → one ``<doc_id>.tables.json`` per doc, and a
     ``(doc_id, status)`` frame in the same order.
 
@@ -426,7 +427,7 @@ def write_resultset(
     output_dir: str,
     resultset_uuid: str,
     reader: str = "merged",
-    sources: Optional[List[str]] = None,
+    sources: Optional[List[dict]] = None,
     force_update: bool = False,
     pretty: bool = False,
 ) -> pd.DataFrame:

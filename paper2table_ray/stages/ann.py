@@ -31,7 +31,8 @@ def _batch_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
     # zero-copy path for fixed-length float lists
     flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
     n = len(arr)
-    return flat.reshape(n, -1)
+    # zero rows carry no width: (0, 0), not a reshape of nothing to (0, -1)
+    return flat.reshape(n, -1) if n else flat.reshape(0, 0)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:

@@ -18,10 +18,13 @@ Scale shape (what crosses the wire, per doc):
    call per batch (no per-shingle Python hashing);
 2. the LSH shuffle carries ONLY ``(bucket:int64, doc_id)`` band rows —
    signatures and shingle sets never ride the all-to-all exchange;
-3. tiny LSH buckets are grouped under a coarse ``shard = bucket %
-   num_shards`` key so the groupby sees O(num_shards) groups, not one
-   per bucket (per-group overhead, not data volume, is what kills
-   ``map_groups`` over millions of 1-row groups);
+3. tiny buckets (LSH bands, SimHash chunks, trigram shingles) are
+   grouped into coarse ``hash(bucket) % num_shards`` shards, so Ray sees
+   O(num_shards) groups, not one per bucket (per-group overhead, not
+   data volume, is what kills ``map_groups`` over millions of 1-row
+   groups). SimHash and exact Jaccard go through
+   ``shuffle.groupby_apply_table``; MinHash keeps its own two exchanges
+   (see ``minhash_lsh_pairs``);
 4. candidate pairs are made distinct under the same coarse pair-hash
    sharding, then verified against the candidates' packed signatures or
    shingle sets, which ``joins.attach_pair_sides`` attaches to both pair
@@ -41,7 +44,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Min
 
-from .shuffle import default_num_shards
+from .shuffle import default_num_shards, groupby_apply_table
 from .textqc import TOKEN_RE, canonical_text
 
 _MERSENNE_P = (1 << 61) - 1
@@ -221,15 +224,21 @@ def _distinct_pairs(pairs: ray.data.Dataset, num_shards: int) -> ray.data.Datase
     in-shard ``drop_duplicates``. NOT ``groupby([doc_a, doc_b])`` — Ray's
     sort aggregate pays per-group overhead on one group per pair
     (measured ~28s for 10k pair-groups vs ~1s at a coarse-shard width).
-    The caller passes its own exchange width."""
+    The caller passes its own exchange width. Hand-rolled for the reason
+    given at the band exchange in ``minhash_lsh_pairs``: through
+    ``groupby_apply_table`` this site alone added 0.2-0.35 s per call
+    over the same 1,500 docs."""
 
     def add_shard(df: pd.DataFrame) -> pd.DataFrame:
         h = pd.util.hash_pandas_object(df[["doc_a", "doc_b"]], index=False)
         df = df.assign(_pair_shard=(h % num_shards).astype("int32"))
         return df
 
-    def dedup_shard(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_a", "doc_b"]).drop(columns=["_pair_shard"])
+    def dedup_shard(g: pd.DataFrame) -> pa.Table:
+        # Arrow out: the verify joins read Arrow types off this schema,
+        # and a pandas block types string ids as Python ``str``
+        g = g.drop_duplicates(["doc_a", "doc_b"]).drop(columns=["_pair_shard"])
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     return (
         pairs.map_batches(add_shard, batch_format="pandas")
@@ -260,8 +269,9 @@ def minhash_lsh_pairs(
     (``joins.attach_pair_sides``) → vectorized verify.
     ``jaccard`` is exact (true shingle-set overlap) when ``exact_verify``
     else the signature estimate. ``num_shards`` (default
-    ``default_num_shards()``) sizes every exchange: bands, pair-distinct
-    and the verify joins' shard plan.
+    ``default_num_shards()``) sets the shard-key range of the band and
+    pair-distinct exchanges (their task count follows the input blocks)
+    and the width of the verify joins' shard plan.
     """
     from .workercache import worker_cached
 
@@ -312,6 +322,11 @@ def minhash_lsh_pairs(
         lambda b: lsh_band_rows(b, bands, rows_per_band, num_shards),
         batch_format="pyarrow",
     )
+    # hand-rolled, like _distinct_pairs: Ray's sampled sort makes as many
+    # tasks as input blocks (2 on the curate store), where
+    # groupby_apply_table makes num_shards. Routed through it, this site
+    # alone took minhash_lsh_pairs over 1,500 docs in 30 files from
+    # 1.1-1.3 s to 2.0-2.3 s (min of 5, 1 CPU).
     cands = band_rows.groupby("shard").map_groups(
         lambda g: _shard_candidate_pairs(g, max_bucket_size),
         batch_format="pandas",
@@ -457,11 +472,9 @@ def simhash_pairs(
     exact Hamming verify inside the bucket (Manku et al. WWW'07).
 
     The 8-byte simhash rides the shuffle inline (cheaper than a join-back
-    at any scale), under the same coarse-shard groupby as MinHash-LSH,
+    at any scale), through ``groupby_apply_table`` keyed on the bucket,
     ``num_shards`` wide (default ``default_num_shards()``).
     """
-    if num_shards is None:
-        num_shards = default_num_shards()
     if chunks is None:
         chunks = min(max_hamming + 1, 16)
     width = 64 // chunks
@@ -479,7 +492,6 @@ def simhash_pairs(
         take_idx = pa.array(np.repeat(np.arange(n), chunks))
         return pa.table(
             {
-                "shard": pa.array((bucket % np.uint64(num_shards)).astype(np.int32)),
                 "bucket": pa.array(bucket.view(np.int64), type=pa.int64()),
                 "chunk_id": pa.array(chunk_ids.astype(np.int8)),
                 "doc_id": ids.take(take_idx),
@@ -584,11 +596,12 @@ def simhash_pairs(
 
     hashed = docs.map_batches(add_simhash, batch_format="pyarrow")
     exploded = hashed.map_batches(explode, batch_format="pyarrow")
-    # repartition so the groupby's sort emits ≥num_shards blocks — on a
-    # small input everything lands in ONE block and map_groups would run
-    # every shard serially in a single task (measured 27s vs ~3s).
-    exploded = exploded.repartition(num_shards)
-    return exploded.groupby("shard").map_groups(shard_pairs, batch_format="pandas")
+    # the exchange's sort makes num_shards reduce blocks even from ONE
+    # input block, so the shards run as parallel tasks at any input size
+    return groupby_apply_table(
+        exploded, "bucket", lambda t: shard_pairs(t.to_pandas()),
+        num_shards=num_shards,
+    )
 
 
 _JACCARD_WORD_RE = None  # compiled lazily per worker
@@ -606,10 +619,9 @@ def _word_trigrams(text: str) -> list:
     return list({f"{ws[i]} {ws[i + 1]} {ws[i + 2]}" for i in range(len(ws) - 2)})
 
 
-def trigram_shard_rows(batch: pa.Table, num_shards: int) -> pa.Table:
-    """``(doc_id, text)`` batch → one ``(doc_id, sh, shard)`` row per
-    distinct word trigram of each doc, ``shard = hash(sh) % num_shards``
-    (any width, not only powers of two)."""
+def trigram_rows(batch: pa.Table) -> pa.Table:
+    """``(doc_id, text)`` batch → one ``(doc_id, sh)`` row per distinct
+    word trigram of each doc."""
     # the pair key packs (doc_a, doc_b) into one int64 as
     # (lo << 32) | hi — bijective only for ids in [0, 2^32); anything
     # larger would silently merge/corrupt pair counts, so fail loudly
@@ -631,15 +643,10 @@ def trigram_shard_rows(batch: pa.Table, num_shards: int) -> pa.Table:
         tri = _word_trigrams(text or "")
         shs.extend(tri)
         ids.extend([doc_id] * len(tri))
-    sh_arr = pa.array(shs, type=pa.string())
-    shard = pd.util.hash_array(np.asarray(shs, dtype=object)) % np.uint64(
-        num_shards
-    )
     return pa.table(
         {
             "doc_id": pa.array(ids, type=pa.int64()),
-            "sh": sh_arr,
-            "shard": pa.array(shard.astype(np.int32)),
+            "sh": pa.array(shs, type=pa.string()),
         }
     )
 
@@ -668,12 +675,7 @@ def exact_jaccard_pairs(
     """
     from .joins import hash_join
 
-    if num_shards is None:
-        num_shards = default_num_shards()
-
-    shingles = docs.map_batches(
-        lambda b: trigram_shard_rows(b, num_shards), batch_format="pyarrow"
-    )
+    shingles = docs.map_batches(trigram_rows, batch_format="pyarrow")
 
     # per-doc set sizes: tiny aggregate (one int per doc)
     from ray.data.aggregate import Count
@@ -718,8 +720,8 @@ def exact_jaccard_pairs(
 
     from ray.data.aggregate import Sum as _Sum
 
-    pair_rows = shingles.repartition(num_shards).groupby("shard").map_groups(
-        shard_pairs, batch_format="pandas"
+    pair_rows = groupby_apply_table(
+        shingles, "sh", lambda t: shard_pairs(t.to_pandas()), num_shards=num_shards
     )
     inter = pair_rows.groupby("pk").aggregate(_Sum("cnt", alias_name="inter"))
 

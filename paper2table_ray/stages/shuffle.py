@@ -6,9 +6,17 @@ GROUP (slice + fn dispatch + format conversion). For per-doc operators the
 group count equals the corpus size, so a 5k-doc sf0.1 run spends ~10 s in
 pure overhead and a 10^12-doc corpus is unschedulable. ``groupby_apply``
 keeps the same per-group semantics but shuffles on ``hash(key) %
-num_shards`` — Ray sees O(num_shards) groups; true groups are recovered
+num_shards`` — Ray sees O(num_shards) shards; true groups are recovered
 inside the shard task by a vectorized sort + run-boundary scan and ``fn``
 is applied per group in-process.
+
+The exchange is Ray's own ``map_groups`` shape — ``sort(key)`` then
+``map_batches(batch_size=None)`` — run on the shard id with the range
+boundaries given (``1 .. num_shards - 1``). Known boundaries skip the
+sort's sampling pass, and the sort itself makes ``num_shards`` reduce
+outputs, so no ``repartition`` is needed to get one task per shard. Each
+sort reducer merges its inputs into one block, so every shard reaches
+the shard function in one call.
 
 Semantics guarantee: ``fn`` still receives EXACTLY one full group per
 call (all rows for one key, co-located), same as ``map_groups``; only the
@@ -20,7 +28,7 @@ count, ``q_filenorm_plan``'s 16) pass a fixed width.
 
 from __future__ import annotations
 
-from typing import Callable, List, Union
+from typing import Callable, Iterator, List, Union
 
 import numpy as np
 import pandas as pd
@@ -65,9 +73,10 @@ def apply_fn_per_group(
     fn: Callable,
     batch_format: str = "pyarrow",
 ) -> Union[pa.Table, pd.DataFrame]:
-    """The in-task group-apply kernel shared by ``groupby_apply`` and the
-    bucketed-store ``map_partitions`` path: vectorized sort + run-boundary
-    scan over the composite key, ``fn`` applied once per full group."""
+    """The in-task group-apply kernel of ``groupby_apply``: vectorized
+    sort + run-boundary scan over the composite key, ``fn`` applied once
+    per full group. A lineage-bucketed store needs no exchange before it:
+    ``state/lineage.resumable_merge`` runs one task per partition file."""
     tbl = tbl.sort_by([(k, "ascending") for k in key_list])
     n = tbl.num_rows
     if n == 0:
@@ -130,7 +139,12 @@ def groupby_apply_table(
     shard guaranteed to contain every row of each of its key groups).
     For kernels that amortize decode/encode across a shard's groups —
     e.g. the cells merge decodes the shard once and encodes once instead
-    of per doc (pipelines/merge.py::merge_cells_table)."""
+    of per doc (pipelines/merge.py::merge_cells_table).
+
+    Shape: stamp ``hash(keys) % num_shards`` → sort on the stamp with
+    the boundaries ``1 .. num_shards - 1`` (one reduce block per shard)
+    → ``table_fn`` once per non-empty shard block. An empty shard makes
+    no call."""
     key_list = [keys] if isinstance(keys, str) else list(keys)
     if num_shards is None:
         num_shards = default_num_shards()
@@ -141,14 +155,15 @@ def groupby_apply_table(
         )
         return batch.append_column(_SHARD_COL, pa.array(shard))
 
-    def run_shard(shard_tbl: pa.Table) -> Union[pa.Table, pd.DataFrame]:
-        return table_fn(shard_tbl.drop_columns([_SHARD_COL]))
+    def run_shard(shard_tbl: pa.Table) -> Iterator[Union[pa.Table, pd.DataFrame]]:
+        if shard_tbl.num_rows:
+            yield table_fn(shard_tbl.drop_columns([_SHARD_COL]))
 
+    # an empty boundary list makes Ray sample boundaries instead, so
+    # width 1 gets a second range that no stamp reaches
+    boundaries = list(range(1, max(num_shards, 2)))
     return (
         ds.map_batches(stamp, batch_format="pyarrow")
-        # ensure the groupby's sort has ≥num_shards blocks to emit — with
-        # one input block every shard would run serially in a single task
-        .repartition(num_shards)
-        .groupby(_SHARD_COL)
-        .map_groups(run_shard, batch_format="pyarrow")
+        .sort(_SHARD_COL, boundaries=boundaries)
+        .map_batches(run_shard, batch_format="pyarrow", batch_size=None)
     )

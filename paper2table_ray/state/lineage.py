@@ -151,53 +151,13 @@ class LineageSink:
             _write_lineage_json(lineage_dir, pid, rec)
             return pd.DataFrame([rec])
 
+        # hand-rolled, not groupby_apply_table: one file per partition_id
+        # at a fixed P (the CLI's --partitions, 64 by default) is a resume
+        # contract, not a shard width
         summaries = ds.groupby("partition_id").map_groups(
             write_partition, batch_format="pyarrow"
         )
         return summaries.to_pandas()
-
-
-def map_partitions(
-    output_dir: str,
-    fn,
-    key: str = "doc_id",
-    batch_format: str = "pyarrow",
-) -> ray.data.Dataset:
-    """SHUFFLE-FREE per-group apply over a lineage-bucketed store.
-
-    ``LineageSink.write`` already placed every row of a key in exactly
-    one ``part-XXXXX.parquet`` (``blake2(key) % P``), so per-key grouping
-    needs NO exchange: one Ray task per partition file reads the file,
-    recovers key groups locally (the same sort + run-boundary kernel as
-    stages/shuffle.groupby_apply — identical semantics, zero shuffle) and
-    applies ``fn`` per group. This is the "pick ONE partitioning key and
-    reuse it" 100 TB pattern: any number of downstream per-doc stages run
-    against the store without ever repeating the placement shuffle.
-
-    Raw ``@ray.remote`` tasks (not ``map_batches``) because the Dataset
-    API cannot bind tasks to specific bucket files; the per-task Arrow
-    results re-enter Dataset land via ``from_arrow_refs`` (object refs —
-    no driver transfer)."""
-    import ray
-
-    from ..stages.shuffle import apply_fn_per_group
-
-    paths = sorted(
-        os.path.join(output_dir, name)
-        for name in os.listdir(output_dir)
-        if name.startswith("part-") and name.endswith(".parquet")
-    )
-
-    @ray.remote
-    def run_partition(path: str) -> pa.Table:
-        tbl = pq.read_table(path)
-        out = apply_fn_per_group(tbl, [key], fn, batch_format)
-        if isinstance(out, pd.DataFrame):
-            return pa.Table.from_pandas(out, preserve_index=False)
-        return out
-
-    refs = [run_partition.remote(p) for p in paths]
-    return ray.data.from_arrow_refs(refs)
 
 
 def resumable_extract(

@@ -52,6 +52,7 @@ class TestCliFlows:
         # the same chain over synthesized resultsets, so it runs on any
         # checkout: tablestats' column probe and text report and the
         # viewer's section render are reached without the reference
+        from paper2table_ray.sources.resultsets import RUN_READERS
         from paper2table_ray.sources.tablesfile_json import (
             load_metadata,
             read_resultsets,
@@ -83,7 +84,8 @@ class TestCliFlows:
         html_file = tmp_path / "out.html"
         assert main(["table2html", out_dir, "-o", str(html_file)]) == 0
         metadata = load_metadata(out_dir)
-        assert all(isinstance(s, str) for s in metadata["sources"])
+        readers = {s["uuid"]: s["reader"] for s in metadata["sources"]}
+        assert readers == RUN_READERS
         expected = viewer_html_of(
             read_resultsets([out_dir]),
             title=os.path.basename(out_dir),
@@ -91,11 +93,13 @@ class TestCliFlows:
             settings=json.loads(
                 (Path(out_dir) / "settings.tablemerge.json").read_text()
             ),
-            # the merged metadata lists its sources as bare uuids, so the
-            # CLI finds no uuid → reader pairs in it
-            uuid_to_reader={},
+            uuid_to_reader=readers,
         )
-        assert html_file.read_text(encoding="utf-8") == expected
+        html = html_file.read_text(encoding="utf-8")
+        assert html == expected
+        assert f"<summary>Sources ({len(RUN_READERS)})</summary>" in html
+        for reader in RUN_READERS.values():
+            assert f"<td>{reader}</td>" in html
 
         assert main(["tablevalidate", f"{out_dir}/*.tables.json", "--all"]) == 0
         assert main(["tablevalidate", f"{out_dir}/tables.metadata.json"]) == 0

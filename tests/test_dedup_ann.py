@@ -222,6 +222,20 @@ class TestDedupRay:
         assert len(broadcast) > 0
         assert len(joins_run) == 2
 
+    def test_minhash_string_ids_on_the_shard_plan(self, force_shard_plan):
+        # the pair-distinct exchange emits pandas blocks; the verify's
+        # shard joins must still type string ids as Arrow strings
+        rows = [
+            {"doc_id": f"d{r['doc_id']}", "text": r["text"]}
+            for r in _near_dup_docs()[:3]
+        ]
+        ds = ray.data.from_items(rows).materialize()
+        force_shard_plan()
+        out = dd.minhash_lsh_pairs(ds, threshold=0.6).to_pandas()
+        assert sorted(zip(out["doc_a"], out["doc_b"])) == [
+            ("d1", "d2"), ("d1", "d3"), ("d2", "d3"),
+        ]
+
     def test_simhash_pairs(self):
         ds = ray.data.from_items(_near_dup_docs())
         pairs = dd.simhash_pairs(ds, max_hamming=10).to_pandas()
@@ -279,6 +293,21 @@ class TestANN:
             ray.data.from_items(rows), threshold=0.5, n_bits=2, dim=4
         )
         assert pairs.count() == 0
+
+    def test_embedding_dedup_on_the_shard_plan_with_a_pairless_shard(
+        self, force_shard_plan
+    ):
+        # a shard that holds side rows but no candidate pair runs the
+        # verify on zero rows
+        rows = [
+            {"vec_id": 1, "embedding": [1.0, 0.0, 0.0, 0.0]},
+            {"vec_id": 2, "embedding": [0.9, 0.1, 0.0, 0.0]},
+        ]
+        force_shard_plan()
+        pairs = embedding_cosine_dedup_pairs(
+            ray.data.from_items(rows), threshold=0.5, n_bits=2, dim=4
+        ).to_pandas()
+        assert list(zip(pairs["id_a"], pairs["id_b"])) == [(1, 2)]
 
     def test_exact_dedup_pairs_match_bruteforce(self):
         from paper2table_ray.stages.ann import embedding_dedup_pairs_exact

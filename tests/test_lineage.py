@@ -68,60 +68,6 @@ class TestResume:
             assert rec["status"] == "ok"
 
 
-@pytest.mark.usefixtures("ray_session")
-class TestMapPartitions:
-    """Shuffle-free per-group processing over the bucketed store: the
-    lineage write's placement (blake2(doc_id) % P) is reused by
-    map_partitions, so a per-doc stage (here: the full merge) runs with
-    ZERO additional shuffle and matches the shuffled merge_pipeline
-    bit-for-bit."""
-
-    def test_bucketed_merge_equals_shuffled_merge(self, tmp_path):
-        from paper2table_ray.pipelines.merge import (
-            MergeConfig,
-            merge_doc_records,
-            merge_pipeline,
-        )
-        from paper2table_ray.schema import (
-            CELLS_SCHEMA,
-            rows_to_table,
-            table_to_row_records,
-        )
-        from paper2table_ray.sources.resultsets import synth_resultsets_dataset
-        from paper2table_ray.state.lineage import LineageSink, map_partitions
-
-        cells = synth_resultsets_dataset("/root/testdata/sf0.001", runs=2)
-        sink = LineageSink(str(tmp_path), num_partitions=8, stage="cells")
-        sink.write(sink.add_partition_column(cells))
-
-        cfg = MergeConfig()
-
-        def merge_group(group):
-            records = table_to_row_records(group)
-            out = merge_doc_records(records, cfg)
-            if not out:
-                return CELLS_SCHEMA.empty_table()
-            return rows_to_table(out)
-
-        bucketed = map_partitions(str(tmp_path), merge_group).to_pandas()
-        shuffled = merge_pipeline(
-            synth_resultsets_dataset("/root/testdata/sf0.001", runs=2), cfg
-        ).to_pandas()
-
-        def norm(df):
-            df = df.copy()
-            df["cells"] = df["cells"].astype(str)
-            df["sources"] = df["sources"].astype(str)
-            return (
-                df.sort_values(
-                    ["doc_id", "table_idx", "fragment_idx", "pos"]
-                )
-                .reset_index(drop=True)
-            )
-
-        pd.testing.assert_frame_equal(norm(bucketed), norm(shuffled))
-
-
 class TestScratchContract:
     """state/scratch.py: every spill/cache path resolves through ONE
     config point so a real cluster can redirect it to shared storage."""

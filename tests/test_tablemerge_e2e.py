@@ -320,7 +320,7 @@ def _two_exchange_tablemerge(dirs, out, settings, paper=None, force_update=False
         out,
         uuid,
         reader="tablemerge",
-        sources=sorted(uuid_to_reader),
+        sources=[{"uuid": u, "reader": r} for u, r in sorted(uuid_to_reader.items())],
         force_update=force_update,
         pretty=settings.pretty,
     )

@@ -4,11 +4,15 @@ Every exchange-bearing pair and join path runs at ``num_shards`` 1, 3 and
 None (``default_num_shards()``, cluster-sized) on small in-test inputs,
 and must give the same rows. Width 3 is not a power of two; the shard
 stamps take ``hash % num_shards``, which fills every shard at any width.
+The queries routed through ``groupby_apply_table`` take no width, so
+their sweep patches ``default_num_shards`` and also checks the DuckDB
+oracle.
 """
 
 import random
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -23,7 +27,7 @@ WIDTHS = (1, 3, None)
 def _rows(ds) -> list:
     """Order-insensitive, exact view of a Dataset's rows (column names
     first, then the rows sorted by their repr)."""
-    df = ds.to_pandas()
+    df = ds if isinstance(ds, pd.DataFrame) else ds.to_pandas()
     df = df[sorted(df.columns)]
     return [list(df.columns)] + sorted(df.itertuples(index=False, name=None), key=repr)
 
@@ -83,11 +87,36 @@ def test_exact_jaccard_pairs(text_docs):
     assert len(rows) > 1
 
 
-def test_trigram_shards_fill_a_width_that_is_not_a_power_of_two():
-    # a bit mask (hash & 23) would reach only 16 of 24 shards
-    text = " ".join(f"w{i}" for i in range(600))
-    rows = dd.trigram_shard_rows(pa.table({"doc_id": [1], "text": [text]}), 24)
-    assert sorted(set(rows.column("shard").to_pylist())) == list(range(24))
+def test_groupby_apply_table_makes_one_call_per_shard(ray_session):
+    """At width 24 (not a power of two) over 600 keys in 8 input blocks:
+    all 24 shards are called, once each; every key's rows arrive in
+    exactly one call; no call gets zero rows."""
+    from paper2table_ray.stages.shuffle import _key_hash, groupby_apply_table
+
+    width = 24
+    keys = np.repeat(np.arange(600, dtype=np.int64), 3)
+    tbl = pa.table({"k": keys, "v": np.arange(len(keys))})
+    ds = ray.data.from_arrow([tbl.slice(i, 225) for i in range(0, len(keys), 225)])
+
+    def summarize(shard: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "n": [shard.num_rows],
+                "keys": [sorted(set(shard.column("k").to_pylist()))],
+            }
+        )
+
+    calls = groupby_apply_table(ds, "k", summarize, num_shards=width).take_all()
+    shard_of = dict(
+        zip(keys.tolist(), (_key_hash(tbl, ["k"]) % np.uint64(width)).tolist())
+    )
+    call_shards = [{shard_of[k] for k in c["keys"]} for c in calls]
+    assert all(len(s) == 1 for s in call_shards)
+    assert sorted(s.pop() for s in call_shards) == list(range(width))
+    seen = [k for c in calls for k in c["keys"]]
+    assert sorted(seen) == list(range(600))
+    assert all(c["n"] > 0 for c in calls)
+    assert sum(c["n"] for c in calls) == len(keys)
 
 
 def test_embedding_cosine_dedup_pairs(ray_session):
@@ -157,4 +186,32 @@ def test_extract_spans_mapped_shardjoin(ray_session, force_shard_plan):
     rows = _same_at_every_width(
         lambda w: extract_spans_mapped(docs, mappings, num_shards=w)
     )
+    assert len(rows) > 1
+
+
+@pytest.mark.parametrize(
+    "name", ["user_sessions", "asof_event_order", "range_join_order_events"]
+)
+def test_routed_query(ray_session, monkeypatch, name):
+    import duckdb
+
+    import __ray_entry__ as entrymod
+    from paper2table_ray.stages import shuffle
+
+    sf = "/root/testdata/sf0.001"
+    real = shuffle.default_num_shards
+
+    def run(w):
+        monkeypatch.setattr(
+            shuffle, "default_num_shards", real if w is None else (lambda: w)
+        )
+        return entrymod.queries()[name](sf)
+
+    rows = _same_at_every_width(run)
+    con = duckdb.connect()
+    for t in ("events", "orders"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
+    oracle = con.execute(entrymod.oracle_sql()[name]).df()
+    ints = {c: "int64" for c in oracle.select_dtypes("integer")}
+    assert rows == _rows(oracle.astype(ints))
     assert len(rows) > 1
