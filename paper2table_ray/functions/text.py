@@ -14,10 +14,10 @@ matches (see SURVEY.md §2.2):
 - ``tokenize_schema``        — /root/reference/src/utils/tokenize_schema.py:1-3
 - ``parse_page_range``       — /root/reference/src/paper2table/page_range.py:5-14
 
-These are pure scalar functions; batch stages call the ``*_array`` helpers
-which loop over an Arrow array's python view with compiled regexes (the
-unicodedata calls force per-string python, but an ASCII fast path skips most
-of the work for typical corpora).
+These are pure scalar functions; batch stages call ``normalize_str_array``,
+which does printable-ASCII values in Arrow and only the rest in Python (the
+unicodedata calls force per-string python, but typical corpora are mostly
+ASCII).
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ import string
 import unicodedata
 from functools import lru_cache as _lru_cache
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
 # --- normalize_str ---------------------------------------------------------
 
 _NONPRINTABLE_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f�]")
@@ -35,7 +38,6 @@ _DASH_RE = re.compile(r"[‐‑‒–—―−]")
 _WS_RE = re.compile(r"\s+")
 
 _ASCII_SAFE_RE = re.compile(r"^[\x20-\x7e]*$")
-_ASCII_SIMPLE_RE = re.compile(r"^[0-9a-z_][0-9a-z_ ]*$")
 # whitespace that actually needs collapsing: a run of ≥2, or any
 # whitespace char that isn't a plain space
 _WS_DIRTY_RE = re.compile(r"\s{2,}|[^\S ]")
@@ -66,12 +68,6 @@ def normalize_str(value: str) -> str:
     value = _NONPRINTABLE_RE.sub("", value)
     value = _CID_RE.sub(_replace_cid, value)
     value = _DASH_RE.sub("-", value)
-    return _WS_RE.sub(" ", value.strip())
-
-
-def _normalize_str_ascii_fast(value: str) -> str:
-    # ASCII printable input: NFC / nonprintable / dash steps are no-ops.
-    value = _CID_RE.sub(_replace_cid, value)
     return _WS_RE.sub(" ", value.strip())
 
 
@@ -430,32 +426,14 @@ def is_semantic_column(name: str) -> bool:
 # --- vectorized helpers ----------------------------------------------------
 
 
-def normalize_str_list(values: list) -> list:
-    """normalize_str over a python list (None-preserving), with an ASCII
-    fast path."""
-    out = []
-    fast = _ASCII_SAFE_RE.match
-    for v in values:
-        if v is None:
-            out.append(None)
-        elif fast(v):
-            out.append(_normalize_str_ascii_fast(v))
-        else:
-            out.append(normalize_str(v))
-    return out
-
-
-def normalize_column_name_list(values: list) -> list:
-    out = []
-    simple = _ASCII_SIMPLE_RE.match
-    for v in values:
-        if v is None:
-            out.append(None)
-        elif simple(v) and "  " not in v:
-            s = v.strip().replace(" ", "_")
-            while "__" in s:
-                s = s.replace("__", "_")
-            out.append(s.strip("_"))
-        else:
-            out.append(normalize_column_name(v))
-    return out
+def normalize_str_array(values: pa.Array) -> pa.Array:
+    """normalize_str over an Arrow string array, nulls kept. Printable
+    ASCII without ``(cid:`` has only spaces to trim and collapse, which
+    Arrow does (RE2's ``$``, unlike Python's, does not match before a
+    trailing newline); every other value goes through ``normalize_str``."""
+    ascii_ = pc.match_substring_regex(values, r"^[\x20-\x7e]*$")
+    slow = pc.invert(pc.and_(ascii_, pc.invert(pc.match_substring(values, "(cid:"))))
+    slow = slow.fill_null(False)
+    out = pc.replace_substring_regex(pc.utf8_trim(values, " "), " {2,}", " ")
+    rest = [normalize_str(v) for v in values.filter(slow).to_pylist()]
+    return pc.replace_with_mask(out, slow, pa.array(rest, pa.string()))

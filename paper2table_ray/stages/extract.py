@@ -28,19 +28,26 @@ stage via ``map_batches(worker_cached(SpanExtractor, config=cfg))``
 (stages/workercache.py), so the per-worker state (compiled regexes, hint
 set, transformer chain, boilerplate stripper) is built once per worker
 process (SURVEY.md §2.3).
+
+A batch's spans are decoded column-wise, once; only ``table_row`` and
+``html`` texts become Python strings. One per-doc core walks each doc's
+range for table runs, mappings and page range; a doc that raises (a null
+text or offset, a failing table run) becomes one ``error`` span.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import rowmodel as rm
-from ..functions.text import normalize_column_name, normalize_str
-from ..schema import SPANS_OUT_SCHEMA
+from ..functions.text import normalize_column_name, normalize_str, normalize_str_array
+from ..schema import SPAN_STRUCT, SPANS_OUT_SCHEMA
 from .boilerplate import BoilerplateStripper
 from .transformers import (
     FilterEmptyRowsTransformer,
@@ -132,19 +139,30 @@ class SpanExtractor:
             chain.append(FilterEmptyRowsTransformer())
         self.transformers = chain
 
-    # -- per-doc logic ------------------------------------------------------
+    # -- per-doc core -------------------------------------------------------
 
     def extract_doc(
         self, spans: List[dict], mapping: Optional[dict] = None
     ) -> List[Tuple[str, str, str]]:
-        """One doc's input spans (offset order) → ordered (kind, text,
-        media_ref) output sequence. ``mapping`` accepts both the
+        """One doc's input spans (any order) → ordered (kind, text,
+        media_ref) output sequence: a one-doc adapter onto the batch path,
+        raising what a batch would quarantine. ``mapping`` accepts both the
         reference's TablesMapping JSON shape and the compact form
         (stages/llmclient.normalize_tables_mapping)."""
+        spans = pa.array([spans or []], pa.list_(SPAN_STRUCT))
+        mapping_json = [json.dumps(mapping) if mapping else None]
+        batch = pa.table({"doc_id": [""], "spans": spans, "mapping_json": mapping_json})
+        out = self._extract(batch, quarantine=False)
+        return list(zip(*(out.column(c).to_pylist() for c in ("kind", "text", "media_ref"))))
+
+    def _doc_entries(self, codes: List[int], raw: dict, lo: int, hi: int, mapping) -> list:
+        """Decoded spans ``lo .. hi`` of one doc → its output entries in
+        order: an int is a decoded span emitted as it stands, a tuple a
+        made (kind, text, media_ref) span."""
         from .llmclient import normalize_tables_mapping
 
         norm = normalize_tables_mapping(mapping) if mapping else None
-        out: List[Tuple[str, str, str]] = []
+        out: list = []
         table_run: List[str] = []
         table_no = [0]  # fragment counter (for first_page_only header mode)
 
@@ -197,24 +215,20 @@ class SpanExtractor:
                 table_no[0] += 1
                 table_run.clear()
 
-        for span in sorted(spans, key=lambda s: s["offset"]):
-            kind = span["kind"]
-            if kind == "table_row":
-                table_run.append(span["text"])
+        for i in range(lo, hi):
+            code = codes[i]
+            if code == _ROW:
+                table_run.append(raw[i])
                 continue
             flush_table()
-            if kind in ("heading", "caption"):
-                out.append((kind, normalize_str(span["text"]), ""))
-            elif kind == "text":
-                text = normalize_str(span["text"])
-                if text:
-                    out.append(("text", text, ""))
-            elif kind == "html":
-                for block in self.stripper.extract_blocks(span["text"]):
-                    out.append(("text", block, ""))
-            elif kind == "media":
-                out.append(("media", "", span["media_ref"]))
-            # unknown kinds are dropped (quarantine-worthy upstream)
+            if code == _EMIT:
+                out.append(i)
+            elif code == _HTML:
+                out.extend(("text", b, "") for b in self.stripper.extract_blocks(raw[i]))
+            elif code == _NULL_TEXT:
+                normalize_str(None)  # raises the per-value path's TypeError
+            # _DROP: a text span empty after normalization, or an unknown
+            # kind (quarantine-worthy upstream)
         flush_table()
         return out
 
@@ -349,34 +363,66 @@ class SpanExtractor:
     # -- batch UDF ----------------------------------------------------------
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_pylist()
-        spans_col = batch.column("spans").to_pylist()
-        if "mapping_json" in batch.column_names:
-            maps_col = batch.column("mapping_json").to_pylist()
-        else:
-            maps_col = [None] * batch.num_rows
-        out_doc, out_idx, out_kind, out_text, out_ref = [], [], [], [], []
-        for doc_id, spans, mapping_json in zip(doc_ids, spans_col, maps_col):
+        return self._extract(batch, self.config.quarantine)
+
+    def _extract(self, batch: pa.Table, quarantine: bool) -> pa.Table:
+        """Decode the batch's spans once (flattened, stably sorted on (doc,
+        offset), heading/caption/text normalized as one column), run the
+        per-doc core over each doc's range, then gather every output
+        column with one ``take`` over the decoded spans and the made ones."""
+        spans = batch.column("spans").combine_chunks()
+        unsorted, parents = pc.list_flatten(spans), pc.list_parent_indices(spans)
+        offsets = unsorted.field("offset")
+        by = pa.record_batch([parents, offsets], names=["doc", "offset"])
+        flat = unsorted.take(pc.sort_indices(by, [("doc", "ascending"), ("offset", "ascending")]))
+        kind, text = flat.field("kind"), flat.field("text")
+        k = np.asarray(pc.index_in(kind, value_set=_KINDS).fill_null(len(_KINDS)))
+        normalized, media = k < 3, pa.array(k == 3)
+        mask = pa.array(normalized)
+        normed = pc.replace_with_mask(text, mask, normalize_str_array(text.filter(mask)))
+        codes = np.array(_KIND_CODES, np.int8)[k]
+        codes[(k == 2) & np.asarray(pc.equal(normed, "").fill_null(False))] = _DROP
+        codes[normalized & np.asarray(text.is_null())] = _NULL_TEXT
+        py_rows = np.flatnonzero((codes == _ROW) | (codes == _HTML))
+        raw = dict(zip(py_rows.tolist(), text.take(py_rows).to_pylist()))
+        codes = codes.tolist()
+        bounds = [0] + np.cumsum(np.asarray(pc.list_value_length(spans).fill_null(0))).tolist()
+        unsortable = set(parents.filter(pc.or_(unsorted.is_null(), offsets.is_null())).to_pylist())
+        has_maps = "mapping_json" in batch.column_names
+        maps_col = batch.column("mapping_json").to_pylist() if has_maps else [None] * batch.num_rows
+        src, made, out_doc, out_idx = [], [], [], []
+        for d, mapping_json in enumerate(maps_col):
             mapping = json.loads(mapping_json) if mapping_json else None
+            lo, hi = bounds[d], bounds[d + 1]
             try:
-                extracted = self.extract_doc(spans or [], mapping)
+                if d in unsortable:  # a null span or offset: the per-doc sort's TypeError
+                    sorted(unsorted[lo:hi].to_pylist(), key=lambda s: s["offset"])
+                entries = self._doc_entries(codes, raw, lo, hi, mapping)
             except Exception as exc:  # quarantine, don't fail the task
-                if not self.config.quarantine:
+                if not quarantine:
                     raise
-                extracted = [("error", f"{type(exc).__name__}: {exc}", "")]
-            for idx, (kind, text, ref) in enumerate(extracted):
-                out_doc.append(doc_id)
-                out_idx.append(idx)
-                out_kind.append(kind)
-                out_text.append(text)
-                out_ref.append(ref)
+                entries = [("error", f"{type(exc).__name__}: {exc}", "")]
+            for e in entries:
+                if not isinstance(e, int):  # a made span, after the decoded ones
+                    made.append(e)
+                    e = len(kind) + len(made) - 1
+                src.append(e)
+            out_doc.extend([d] * len(entries))
+            out_idx.extend(range(len(entries)))
+        media_ref = pc.if_else(media, flat.field("media_ref"), "")
+        decoded = [kind, pc.if_else(media, "", normed), media_ref]
+        take = pa.array(src, pa.int64())
+        columns = [
+            pa.concat_arrays([col, pa.array(m, pa.string())]).take(take)
+            for col, m in zip(decoded, list(zip(*made)) or [(), (), ()])
+        ]
+        doc_id = batch.column("doc_id").take(pa.array(out_doc, pa.int64())).cast(pa.string())
         return pa.Table.from_arrays(
-            [
-                pa.array(out_doc, type=pa.string()),
-                pa.array(out_idx, type=pa.int32()),
-                pa.array(out_kind, type=pa.string()),
-                pa.array(out_text, type=pa.string()),
-                pa.array(out_ref, type=pa.string()),
-            ],
-            schema=SPANS_OUT_SCHEMA,
+            [doc_id, pa.array(out_idx, pa.int32()), *columns], schema=SPANS_OUT_SCHEMA
         )
+
+
+# per-span codes of a decoded batch, by kind (an unknown kind is dropped)
+_DROP, _EMIT, _ROW, _HTML, _NULL_TEXT = range(5)
+_KINDS = pa.array(["heading", "caption", "text", "media", "table_row", "html"])
+_KIND_CODES = (_EMIT, _EMIT, _EMIT, _EMIT, _ROW, _HTML, _DROP)

@@ -22,8 +22,9 @@ Semantics guarantee: ``fn`` still receives EXACTLY one full group per
 call (all rows for one key, co-located), same as ``map_groups``; only the
 scheduling granularity changes. ``num_shards=None`` resolves to
 ``default_num_shards()`` (2× cluster CPUs, floor 16); every package
-exchange defaults to it; only contracts (the lineage store's partition
-count, ``q_filenorm_plan``'s 16) pass a fixed width.
+exchange defaults to it but two: ``LineageSink.write`` passes
+``min(P, cluster CPUs)`` (state/lineage.write_width — its P files, not
+its width, are the resume contract) and ``q_filenorm_plan`` passes 16.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ def default_num_shards() -> int:
     tasks per core — measured optimum for the merge pipeline at 32 cpus
     (4× cores doubled the per-shard fixed costs: 2.5s vs 1.2s on the
     sf0.1 merge; 1× loses straggler slack). Floor 16 so small dev
-    sessions still exercise multi-shard paths. Callers that need a FIXED
-    width across runs (the lineage store's partition count, resumability
-    contract) must keep passing one."""
+    sessions still exercise multi-shard paths."""
     import ray
 
     cpus = (

@@ -14,9 +14,10 @@ lineage manifest checked before scheduling work**:
   lineage row ``(partition_id, stage, doc_count, row_count, wall_ms,
   status)`` — a crash between the two re-runs just that partition,
   overwriting the same deterministic filename (idempotent);
-- the final placement of rows into partition files is a
-  ``groupby(partition_id)`` — the one shuffle a checkpointed sink costs;
-  everything upstream streams.
+- the final placement of rows into partition files is the shared
+  exchange (``groupby_apply_table`` on ``partition_id``) at the cluster's
+  width, one file per partition whatever the width — the one shuffle a
+  checkpointed sink costs; everything upstream streams.
 
 Local sandbox writes parquet; on a Lance-backed deployment the same
 manifest logic keys Lance fragment commits (SURVEY.md §1.3).
@@ -32,9 +33,12 @@ from typing import List, Optional, Set
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
+
+from ..stages.shuffle import apply_fn_per_group, groupby_apply_table
 
 
 def _write_lineage_json(lineage_dir: str, pid: int, rec: dict) -> None:
@@ -54,6 +58,24 @@ def partition_of(doc_id: str, num_partitions: int) -> int:
         hashlib.blake2b(doc_id.encode(), digest_size=8).digest(), "little"
     )
     return h % num_partitions
+
+
+def partition_ids(ids: pa.ChunkedArray, num_partitions: int) -> pa.Array:
+    """``partition_of`` of every id, hashed once per distinct id. A
+    non-string id places by its text (an int64 casts to what ``str()``
+    gives); a null id raises, as ``partition_of(None)`` does."""
+    enc = pc.cast(ids, pa.string()).combine_chunks().dictionary_encode(null_encoding="encode")
+    pids = [partition_of(d, num_partitions) for d in enc.dictionary.to_pylist()]
+    return pa.array(pids, type=pa.int32()).take(enc.indices)
+
+
+def write_width(num_partitions: int) -> int:
+    """Reduce tasks of ``LineageSink.write``: one per cluster CPU (those
+    Ray's auto-init would take, before Ray runs), at most P."""
+    import ray
+
+    cpus = ray.cluster_resources().get("CPU") if ray.is_initialized() else os.cpu_count()
+    return max(1, min(num_partitions, int(cpus or 1)))
 
 
 class LineageSink:
@@ -90,20 +112,12 @@ class LineageSink:
     # -- pipeline hooks ------------------------------------------------------
 
     def add_partition_column(self, ds: ray.data.Dataset, id_col: str = "doc_id"):
-        """Stamp ``partition_id = partition_of(id)``. A non-string id
-        places by its text (an int64 casts to what ``str()`` gives)."""
+        """Stamp ``partition_id`` (``partition_ids``) from ``id_col``."""
         num_partitions = self.num_partitions
 
         def stamp(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            ids = batch.column(id_col)
-            if not pa.types.is_string(ids.type):
-                ids = pc.cast(ids, pa.string())
-            pids = [partition_of(d, num_partitions) for d in ids.to_pylist()]
-            return batch.append_column(
-                "partition_id", pa.array(pids, type=pa.int32())
-            )
+            pids = partition_ids(batch.column(id_col), num_partitions)
+            return batch.append_column("partition_id", pids)
 
         return ds.map_batches(stamp, batch_format="pyarrow")
 
@@ -116,8 +130,6 @@ class LineageSink:
         done_arr = pa.array(sorted(done), type=pa.int32())
 
         def drop_done(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             keep = pc.invert(
                 pc.is_in(batch.column("partition_id"), value_set=done_arr)
             )
@@ -139,11 +151,10 @@ class LineageSink:
             body = group.drop_columns(["partition_id"])
             pq.write_table(body, tmp)
             os.replace(tmp, final)  # atomic on one filesystem
-            n_docs = len(set(group.column("doc_id").to_pylist()))
             rec = {
                 "partition_id": pid,
                 "stage": stage,
-                "doc_count": n_docs,
+                "doc_count": pc.count_distinct(group.column("doc_id"), mode="all").as_py(),
                 "row_count": group.num_rows,
                 "wall_ms": int((time.perf_counter() - t0) * 1000),
                 "status": "ok",
@@ -151,13 +162,18 @@ class LineageSink:
             _write_lineage_json(lineage_dir, pid, rec)
             return pd.DataFrame([rec])
 
-        # hand-rolled, not groupby_apply_table: one file per partition_id
-        # at a fixed P (the CLI's --partitions, 64 by default) is a resume
-        # contract, not a shard width
-        summaries = ds.groupby("partition_id").map_groups(
-            write_partition, batch_format="pyarrow"
-        )
-        return summaries.to_pandas()
+        # one file per partition_id at a fixed P (the CLI's --partitions)
+        # is the resume contract; the width only sets the reduce tasks
+        summaries = groupby_apply_table(
+            ds,
+            "partition_id",
+            lambda shard: apply_fn_per_group(shard, ["partition_id"], write_partition),
+            num_shards=write_width(self.num_partitions),
+        ).to_pandas()
+        if summaries.empty:  # typed, so an empty run still has its header
+            cols = ["partition_id", "stage", "doc_count", "row_count", "wall_ms", "status"]
+            return pd.DataFrame(columns=cols)
+        return summaries.sort_values("partition_id", ignore_index=True)
 
 
 def resumable_extract(
@@ -235,7 +251,7 @@ def resumable_merge(
         rec = {
             "partition_id": pid,
             "stage": "merge",
-            "doc_count": len(set(merged.column("doc_id").to_pylist())),
+            "doc_count": pc.count_distinct(merged.column("doc_id"), mode="all").as_py(),
             "row_count": merged.num_rows,
             "wall_ms": int((time.perf_counter() - t0) * 1000),
             "status": "ok",

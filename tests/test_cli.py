@@ -5,6 +5,7 @@ import json
 import os
 from pathlib import Path
 
+import pyarrow as pa
 import pytest
 
 from paper2table_ray.cli import main
@@ -180,6 +181,31 @@ class TestCliFlows:
                      "--resume", "--partitions", "4"]) == 0
         n2 = ray.data.read_parquet(str(out), file_extensions=["parquet"]).count()
         assert n2 == n1
+
+    def test_extract_resume_on_empty_input_prints_the_summary_header(
+        self, tmp_path, capsys
+    ):
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from paper2table_ray.schema import DOC_SCHEMA
+        from paper2table_ray.state.lineage import LineageSink
+
+        columns = ["partition_id", "stage", "doc_count", "row_count", "wall_ms", "status"]
+        empty = ray.data.from_arrow(
+            pa.table({"doc_id": pa.array([], pa.string()), "text": pa.array([], pa.string())})
+        )
+        sink = LineageSink(str(tmp_path / "direct"), num_partitions=4)
+        summary = sink.write(sink.add_partition_column(empty))
+        assert len(summary) == 0 and list(summary.columns) == columns
+
+        docs_dir = tmp_path / "docs"
+        docs_dir.mkdir()
+        pq.write_table(DOC_SCHEMA.empty_table(), str(docs_dir / "empty.parquet"))
+        capsys.readouterr()
+        assert main(["extract", str(docs_dir), "-o", str(tmp_path / "spans"),
+                     "--resume", "--partitions", "4"]) == 0
+        assert f"Columns: [{', '.join(columns)}]" in capsys.readouterr().out
 
     def test_extract_mapped_with_cache_dir(self, tmp_path):
         import ray.data

@@ -241,3 +241,114 @@ def test_build_doc_plan_leaves_out_short_html_paragraphs():
     assert html and "<p>Short probe three.</p>" in html[0]
     assert ("text", "Short probe three.", "") not in expected
     assert SpanExtractor(ExtractConfig()).extract_doc(spans) == expected
+
+
+_MAP_COUNT = '{"header_mode": "all_pages", "column_mappings": {"1": "Count"}}'
+_PAGES = ExtractConfig(page_range=(2, 3))
+# (docs as (doc_id, spans, mapping_json), config, expected (doc_id, kind, text, media_ref))
+DECODE_CASES = {
+    "stable_ties_null_and_empty_lists": (
+        [
+            ("tie", [span("text", "second", offset=1), span("text", "first", offset=0),
+                     span("text", "third", offset=1)], None),
+            ("null_list", None, None),
+            ("empty_list", [], None),
+        ],
+        ExtractConfig(),
+        [("tie", "text", "first", ""), ("tie", "text", "second", ""), ("tie", "text", "third", "")],
+    ),
+    "text_normalization": (
+        [
+            ("t", [span("heading", "  Café   crème ", offset=0),
+                   span("text", "a(cid:233)b  c", offset=1),
+                   span("caption", "tab\there\nnew", offset=2),
+                   span("text", "trail \n", offset=3),
+                   span("text", " \n", offset=4),
+                   span("heading", "  ", offset=5)], None),
+        ],
+        ExtractConfig(),
+        [("t", "heading", "Café crème", ""), ("t", "text", "aéb c", ""),
+         ("t", "caption", "tab here new", ""), ("t", "text", "trail", ""),
+         ("t", "heading", "", "")],
+    ),
+    "null_text_offset_and_span_quarantined": (
+        [
+            ("null_text", [span("heading", "kept"), span("text", None, offset=1)], None),
+            ("null_offset", [span("text", "a", offset=0), span("text", "b", offset=None)], None),
+            ("null_span", [span("text", "a", offset=0), None], None),
+            ("good", [span("text", "fine")], None),
+        ],
+        ExtractConfig(),
+        [("null_text", "error", "TypeError: expected string or bytes-like object, got 'NoneType'", ""),
+         ("null_offset", "error", "TypeError: '<' not supported between instances of 'NoneType' and 'int'", ""),
+         ("null_span", "error", "TypeError: 'NoneType' object is not subscriptable", ""),
+         ("good", "text", "fine", "")],
+    ),
+    "mapped_next_to_plain": (
+        [
+            ("mapped", [span("table_row", f"Family{CELL_SEP}Count", offset=0),
+                        span("table_row", f"Rosaceae{CELL_SEP}5", offset=1)], _MAP_COUNT),
+            ("plain", [span("table_row", f"Family{CELL_SEP}Count", offset=0),
+                       span("table_row", f"Rosaceae{CELL_SEP}5", offset=1),
+                       span("media", media_ref="img://x", offset=2)], None),
+        ],
+        ExtractConfig(),
+        [("mapped", "table", "count", ""), ("mapped", "row", "5", ""),
+         ("plain", "table", f"family{CELL_SEP}count", ""),
+         ("plain", "row", f"Rosaceae{CELL_SEP}5", ""), ("plain", "media", "", "img://x")],
+    ),
+    "page_range_mapped_and_plain": (
+        [
+            ("mapped", [span("table_row", f"Family{CELL_SEP}Count", offset=0),
+                        span("text", "sep", offset=1),
+                        span("table_row", f"Name{CELL_SEP}Count", offset=2),
+                        span("table_row", f"Rosaceae{CELL_SEP}5", offset=3)], _MAP_COUNT),
+            ("plain", [span("table_row", f"a{CELL_SEP}b", offset=0), span("text", "one", offset=1),
+                       span("table_row", f"c{CELL_SEP}d", offset=2), span("text", "two", offset=3),
+                       span("table_row", f"e{CELL_SEP}f", offset=4), span("text", "three", offset=5),
+                       span("table_row", f"g{CELL_SEP}h", offset=6)], None),
+        ],
+        _PAGES,
+        [("mapped", "text", "sep", ""), ("mapped", "table", "count", ""), ("mapped", "row", "5", ""),
+         ("plain", "text", "one", ""), ("plain", "table", f"0{CELL_SEP}1", ""),
+         ("plain", "row", f"c{CELL_SEP}d", ""), ("plain", "text", "two", ""),
+         ("plain", "table", f"0{CELL_SEP}1", ""), ("plain", "row", f"e{CELL_SEP}f", ""),
+         ("plain", "text", "three", "")],
+    ),
+}
+
+
+def _layout(tbl: pa.Table, how: str) -> pa.Table:
+    """The same docs as one chunk, as a slice with a non-zero array offset
+    (what ``zero_copy_batch`` hands over), or as several chunks."""
+    if how == "sliced":
+        return pa.concat_tables([tbl.slice(0, 1), tbl]).combine_chunks().slice(1)
+    if how == "multichunk":
+        return pa.concat_tables([tbl.slice(i, 1) for i in range(tbl.num_rows)])
+    return tbl
+
+
+@pytest.mark.parametrize("how", ["one_chunk", "sliced", "multichunk"])
+@pytest.mark.parametrize("case", list(DECODE_CASES))
+def test_column_decode_edge_cases(case, how):
+    from paper2table_ray.schema import DOC_SCHEMA
+
+    docs, config, expected = DECODE_CASES[case]
+    tbl = pa.table(
+        {
+            "doc_id": pa.array([d[0] for d in docs], pa.string()),
+            "spans": pa.array([d[1] for d in docs], DOC_SCHEMA.field("spans").type),
+            "mapping_json": pa.array([d[2] for d in docs], pa.string()),
+        }
+    )
+    batch = _layout(tbl, how)
+    if how == "sliced":
+        assert batch.column("spans").chunk(0).offset == 1
+    if how == "multichunk":
+        assert batch.column("spans").num_chunks == len(docs)
+    out = SpanExtractor(config)(batch)
+    got = list(zip(*(out.column(c).to_pylist() for c in ("doc_id", "kind", "text", "media_ref"))))
+    assert got == expected
+    assert out.column("span_idx").to_pylist() == [
+        sum(e[0] == row[0] for e in expected[:i]) for i, row in enumerate(expected)
+    ]

@@ -4,12 +4,15 @@ import json
 import os
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray.data
 
+from paper2table_ray.state import lineage
 from paper2table_ray.state.lineage import (
     LineageSink,
+    partition_ids,
     partition_of,
     read_extracted,
     resumable_extract,
@@ -21,6 +24,52 @@ SF = "/root/testdata/sf0.001"
 def test_partition_of_deterministic():
     assert partition_of("doc_000001", 32) == partition_of("doc_000001", 32)
     assert 0 <= partition_of("anything", 7) < 7
+
+
+@pytest.mark.parametrize(
+    "ids, texts",
+    [
+        # a multi-chunk string column with ids repeated within and across chunks
+        (
+            pa.chunked_array([["b", "a", "b"], ["c", "a"], [], ["b"]]),
+            ["b", "a", "b", "c", "a", "b"],
+        ),
+        # int64 ids place by their text
+        (
+            pa.chunked_array([pa.array([7, -3, 7], pa.int64()), pa.array([2**40, 0, -3], pa.int64())]),
+            ["7", "-3", "7", str(2**40), "0", "-3"],
+        ),
+    ],
+    ids=["multichunk_strings", "int64"],
+)
+def test_partition_ids_hash_each_distinct_id_once(monkeypatch, ids, texts):
+    calls = []
+
+    def counted(doc_id, num_partitions):
+        calls.append(doc_id)
+        return partition_of(doc_id, num_partitions)
+
+    monkeypatch.setattr(lineage, "partition_of", counted)
+    got = partition_ids(ids, 8)
+    assert got.type == pa.int32()
+    assert got.to_pylist() == [partition_of(t, 8) for t in texts]
+    assert sorted(calls) == sorted(set(texts))
+
+
+def test_partition_ids_null_id_raises():
+    # a dictionary stamp that skipped nulls would give a null partition_id
+    with pytest.raises(AttributeError):
+        partition_ids(pa.chunked_array([["a"], [None, "a"]]), 8)
+
+
+def _assert_lineage_counts(out: str) -> None:
+    """Each lineage row's doc_count and row_count are those of its file."""
+    recs = LineageSink(out).lineage_records()
+    assert recs
+    for rec in recs:
+        part = pd.read_parquet(os.path.join(out, f"part-{rec['partition_id']:05d}.parquet"))
+        assert rec["row_count"] == len(part)
+        assert rec["doc_count"] == part["doc_id"].nunique()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -66,6 +115,7 @@ class TestResume:
             assert rec["doc_count"] > 0
             assert rec["wall_ms"] >= 0
             assert rec["status"] == "ok"
+        _assert_lineage_counts(self.out)
 
 
 class TestScratchContract:
@@ -135,6 +185,8 @@ class TestResumableMerge:
         out = str(tmp_path / "merged")
         summary = resumable_merge(store, out, cfg)
         assert (summary["status"] == "ok").all()
+        _assert_lineage_counts(store)
+        _assert_lineage_counts(out)
 
         def comparable(records):
             rows = [

@@ -1,6 +1,7 @@
 """Scalar-function parity vectors (FIXTURES.md F8; reference tests/test_rows.py,
 test_normalize_column_name.py, test_coerce.py behaviors)."""
 
+import pyarrow as pa
 import pytest
 
 from paper2table_ray.functions.text import (
@@ -11,8 +12,7 @@ from paper2table_ray.functions.text import (
     normalize_column_value,
     normalize_punctuation,
     normalize_str,
-    normalize_str_list,
-    normalize_column_name_list,
+    normalize_str_array,
     parse_hints,
     parse_page_range,
     tokenize_schema,
@@ -42,8 +42,9 @@ class TestNormalizeStr:
         assert normalize_str("é") == "é"
 
     def test_fast_path_matches_slow(self):
-        vals = ["  plain ascii  ", "tab\tsep", "a(cid:200)b", None]
-        assert normalize_str_list(vals) == [
+        vals = ["  plain  ascii  ", "tab\tsep", "a(cid:200)b", None, "", "  ",
+                "trail\n", "x \n", "né  e", "dash–x"]
+        assert normalize_str_array(pa.array(vals, pa.string())).to_pylist() == [
             normalize_str(v) if v is not None else None for v in vals
         ]
 
@@ -60,12 +61,6 @@ class TestNormalizeColumnName:
 
     def test_none(self):
         assert normalize_column_name(None) is None
-
-    def test_list_fast_path(self):
-        vals = ["already_snake", "With Spaces", "Científico", None]
-        assert normalize_column_name_list(vals) == [
-            normalize_column_name(v) if v is not None else None for v in vals
-        ]
 
 
 class TestNormalizeColumnValue:

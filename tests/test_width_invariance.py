@@ -215,3 +215,53 @@ def test_routed_query(ray_session, monkeypatch, name):
     ints = {c: "int64" for c in oracle.select_dtypes("integer")}
     assert rows == _rows(oracle.astype(ints))
     assert len(rows) > 1
+
+
+def test_lineage_sink_and_resumable_merge(ray_session, monkeypatch, tmp_path):
+    """One cells store written at sink widths 1, 3 and P: the same rows in
+    every part file, the same lineage counts, each partition written
+    exactly once (widths 1 and 3 put several partitions in one shard),
+    and the same ``resumable_merge`` output over each store."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from paper2table_ray.pipelines.merge import MergeConfig
+    from paper2table_ray.sources.resultsets import synth_resultsets_batch
+    from paper2table_ray.state import lineage
+
+    P = 6
+    cells = synth_resultsets_batch(pa.table({"doc_id": pa.array(range(30), pa.int64())}))
+    ds = ray.data.from_arrow([cells.slice(i, 60) for i in range(0, cells.num_rows, 60)])
+
+    def file_rows(path: str) -> list:
+        return sorted(pq.read_table(path).to_pylist(), key=repr)
+
+    def store_at(width) -> tuple:
+        monkeypatch.setattr(lineage, "write_width", lambda num_partitions: width)
+        store = str(tmp_path / f"store_w{width}")
+        sink = lineage.LineageSink(store, num_partitions=P, stage="cells")
+        summary = sink.write(sink.add_partition_column(ds))
+        pids = list(summary["partition_id"])
+        assert len(pids) == len(set(pids))  # each partition written once
+        assert sum(summary["row_count"]) == cells.num_rows
+        files = sorted(n for n in os.listdir(store) if n.endswith(".parquet"))
+        assert files == [f"part-{p:05d}.parquet" for p in sorted(pids)]
+        parts = {f: file_rows(os.path.join(store, f)) for f in files}
+        counts = sorted(
+            (r["partition_id"], r["doc_count"], r["row_count"])
+            for r in sink.lineage_records()
+        )
+        merged = str(tmp_path / f"merged_w{width}")
+        lineage.resumable_merge(store, merged, MergeConfig())
+        out = {
+            f: file_rows(os.path.join(merged, f))
+            for f in sorted(os.listdir(merged))
+            if f.endswith(".parquet")
+        }
+        return parts, counts, out
+
+    results = [store_at(w) for w in (1, 3, P)]
+    assert len(results[0][0]) > 3
+    for got in results[1:]:
+        assert got == results[0]
