@@ -142,7 +142,8 @@ def cmd_tablemerge(argv: List[str]) -> int:
     # --settings loads a saved file; otherwise the flags map onto the
     # settings fields by name (the *_path flags read their file's text)
     if args.settings:
-        settings = MergeSettings.from_dict(json.load(open(args.settings)))
+        with open(args.settings) as f:
+            settings = MergeSettings.from_dict(json.load(f))
     else:
         settings = MergeSettings.from_args(args)
     summary = run_tablemerge(
@@ -259,11 +260,10 @@ def cmd_table2html(argv: List[str]) -> int:
 
     metadata = load_metadata(args.resultset) or {}
     settings_path = os.path.join(args.resultset, "settings.tablemerge.json")
-    settings = (
-        json.load(open(settings_path, encoding="utf-8"))
-        if os.path.exists(settings_path)
-        else None
-    )
+    settings = None
+    if os.path.exists(settings_path):
+        with open(settings_path, encoding="utf-8") as f:
+            settings = json.load(f)
     uuid_to_reader = {}
     for s in metadata.get("sources") or []:
         if isinstance(s, dict) and s.get("uuid") and s.get("reader"):
@@ -298,7 +298,8 @@ def cmd_tablevalidate(argv: List[str]) -> int:
             if base in ("tables.metadata.json", "settings.tablemerge.json"):
                 continue
             try:
-                obj = json.load(open(path, encoding="utf-8"))
+                with open(path, encoding="utf-8") as f:
+                    obj = json.load(f)
                 errors = validate_tablesfile_obj(obj)
             except FileNotFoundError:
                 errors = ["NOT FOUND"]

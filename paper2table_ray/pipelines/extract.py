@@ -121,11 +121,11 @@ def plan_mappings_ds(
 
     Returns a ``Dataset[doc_id, mapping_json]`` side table covering every
     doc in ``docs`` that has a mapping (cached or freshly planned). The
-    cache is checked AND written inside the map_batches task — one
-    idempotent tmp+``os.replace`` file per doc, never funneled through the
-    driver — so the mapping side scales with the corpus (cache_dir is a
-    shared filesystem at multi-node scale; a Lance/parquet side table is
-    the drop-in alternative).
+    cache is checked AND written inside the map_batches task — one file
+    per doc, published whole by ``state/lineage.commit_file`` and never
+    funneled through the driver — so the mapping side scales with the
+    corpus (cache_dir is a shared filesystem at multi-node scale; a
+    Lance/parquet side table is the drop-in alternative).
 
     ``client_factory``: zero-arg callable building a
     :class:`~paper2table_ray.stages.llmclient.TablesModelClient`
@@ -137,7 +137,6 @@ def plan_mappings_ds(
     flow (__main__.py:428-440)."""
     import json
     import os
-    import uuid
 
     import pyarrow as pa
 
@@ -145,6 +144,7 @@ def plan_mappings_ds(
         DeterministicPlannerClient,
         ModelUnavailableError,
     )
+    from ..state.lineage import commit_file
 
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -178,13 +178,10 @@ def plan_mappings_ds(
                 continue
             mapping_json = json.dumps(mapping)
             if cache_dir:
-                # in-task idempotent write (unique tmp name per writer so
-                # concurrent retries never clobber each other mid-write)
-                path = os.path.join(cache_dir, f"{doc_id}.mapping.json")
-                tmp = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
-                with open(tmp, "w") as f:
-                    f.write(mapping_json)
-                os.replace(tmp, path)
+                commit_file(
+                    os.path.join(cache_dir, f"{doc_id}.mapping.json"),
+                    lambda f: f.write(mapping_json.encode()),
+                )
             out_ids.append(doc_id)
             out_maps.append(mapping_json)
         return pa.table(

@@ -36,6 +36,7 @@ from typing import List
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state.lineage import commit_file
 from ..state.scratch import scratch_root
 
 # bump when synthesis/stamping changes so stale cached dumps regenerate
@@ -69,14 +70,8 @@ def _dump_path(sf_dir: str, name: str) -> str:
     key = hashlib.md5(
         f"{os.path.realpath(sf_dir)}:{DUMP_VERSION}".encode()
     ).hexdigest()[:12]
+    os.makedirs(os.path.join(_dump_root(), key), exist_ok=True)
     return os.path.join(_dump_root(), key, f"{name}.parquet")
-
-
-def _atomic_write(table: pa.Table, path: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + f".tmp.{os.getpid()}"
-    pq.write_table(table, tmp)
-    os.replace(tmp, path)
 
 
 def _read_documents(sf_dir: str, columns) -> pa.Table:
@@ -92,7 +87,7 @@ def ensure_expected_spans_dump(sf_dir: str) -> str:
     from ..sources.synth import expected_spans_batch
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
-    _atomic_write(expected_spans_batch(docs), path)
+    commit_file(path, lambda f: pq.write_table(expected_spans_batch(docs), f))
     return path
 
 
@@ -107,7 +102,7 @@ def ensure_expected_mapped_spans_dump(sf_dir: str) -> str:
     from ..sources.synth import expected_mapped_spans_batch
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
-    _atomic_write(expected_mapped_spans_batch(docs), path)
+    commit_file(path, lambda f: pq.write_table(expected_mapped_spans_batch(docs), f))
     return path
 
 
@@ -125,15 +120,13 @@ def ensure_simhash_dump(sf_dir: str) -> str:
     docs = _read_documents(sf_dir, ["doc_id", "text"])
     tok = _batch_token_hashes(docs.column("text").to_pylist())
     vals = [_simhash_from_token_hashes(h) for h in tok]
-    _atomic_write(
-        pa.table(
-            {
-                "doc_id": docs.column("doc_id"),
-                "simhash": pa.array(vals, type=pa.uint64()),
-            }
-        ),
-        path,
+    table = pa.table(
+        {
+            "doc_id": docs.column("doc_id"),
+            "simhash": pa.array(vals, type=pa.uint64()),
+        }
     )
+    commit_file(path, lambda f: pq.write_table(table, f))
     return path
 
 
@@ -214,21 +207,19 @@ def ensure_merged_cells_dump(sf_dir: str) -> str:
             cols["agreement_level"].append(r["agreement_level"] or 0)
             cols["sources"].append(",".join(r["sources"] or ()))
             cols["cells"].append(repr(sorted(r["cells"].items())))
-    _atomic_write(
-        pa.table(
-            {
-                "doc_id": pa.array(cols["doc_id"], pa.string()),
-                "table_idx": pa.array(cols["table_idx"], pa.int64()),
-                "fragment_idx": pa.array(cols["fragment_idx"], pa.int64()),
-                "page": pa.array(cols["page"], pa.int64()),
-                "row_idx": pa.array(cols["row_idx"], pa.int64()),
-                "agreement_level": pa.array(cols["agreement_level"], pa.int64()),
-                "sources": pa.array(cols["sources"], pa.string()),
-                "cells": pa.array(cols["cells"], pa.string()),
-            }
-        ),
-        path,
+    table = pa.table(
+        {
+            "doc_id": pa.array(cols["doc_id"], pa.string()),
+            "table_idx": pa.array(cols["table_idx"], pa.int64()),
+            "fragment_idx": pa.array(cols["fragment_idx"], pa.int64()),
+            "page": pa.array(cols["page"], pa.int64()),
+            "row_idx": pa.array(cols["row_idx"], pa.int64()),
+            "agreement_level": pa.array(cols["agreement_level"], pa.int64()),
+            "sources": pa.array(cols["sources"], pa.string()),
+            "cells": pa.array(cols["cells"], pa.string()),
+        }
     )
+    commit_file(path, lambda f: pq.write_table(table, f))
     return path
 
 
@@ -301,23 +292,21 @@ def ensure_resume_lineage_dump(sf_dir: str) -> str:
             }
         )
 
-    _atomic_write(
-        pa.table(
-            {
-                "stage": pa.array([r["stage"] for r in rows], pa.string()),
-                "partition_id": pa.array(
-                    [r["partition_id"] for r in rows], pa.int64()
-                ),
-                "doc_count": pa.array([r["doc_count"] for r in rows], pa.int64()),
-                "row_count": pa.array([r["row_count"] for r in rows], pa.int64()),
-                "status": pa.array([r["status"] for r in rows], pa.string()),
-                "resume_status": pa.array(
-                    [r["resume_status"] for r in rows], pa.string()
-                ),
-            }
-        ),
-        path,
+    table = pa.table(
+        {
+            "stage": pa.array([r["stage"] for r in rows], pa.string()),
+            "partition_id": pa.array(
+                [r["partition_id"] for r in rows], pa.int64()
+            ),
+            "doc_count": pa.array([r["doc_count"] for r in rows], pa.int64()),
+            "row_count": pa.array([r["row_count"] for r in rows], pa.int64()),
+            "status": pa.array([r["status"] for r in rows], pa.string()),
+            "resume_status": pa.array(
+                [r["resume_status"] for r in rows], pa.string()
+            ),
+        }
     )
+    commit_file(path, lambda f: pq.write_table(table, f))
     return path
 
 
@@ -358,13 +347,11 @@ def ensure_cells_flat_dump(sf_dir: str) -> str:
                 for i, entry in enumerate(value):
                     emit(rec, col, entry["value"], i)
 
-    _atomic_write(
-        pa.Table.from_arrays(
-            [pa.array(cols[n], type=CELLS_FLAT_SCHEMA.field(n).type) for n in CELLS_FLAT_SCHEMA.names],
-            schema=CELLS_FLAT_SCHEMA,
-        ),
-        path,
+    table = pa.Table.from_arrays(
+        [pa.array(cols[n], type=CELLS_FLAT_SCHEMA.field(n).type) for n in CELLS_FLAT_SCHEMA.names],
+        schema=CELLS_FLAT_SCHEMA,
     )
+    commit_file(path, lambda f: pq.write_table(table, f))
     return path
 
 

@@ -41,6 +41,7 @@ import ray.data
 
 from ..rowmodel import make_row
 from ..schema import CELLS_SCHEMA, CellsTableBuilder, table_to_doc_tablesfiles
+from ..state.lineage import commit_file
 
 _SPECIAL = ("agreement_level_", "sources_", "row_")
 
@@ -352,7 +353,8 @@ def load_metadata(resultset_dir: str) -> Optional[dict]:
     path = os.path.join(resultset_dir, "tables.metadata.json")
     if not os.path.exists(path):
         return None
-    return json.load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
 
 
 def _has_curations(path: str) -> bool:
@@ -361,7 +363,8 @@ def _has_curations(path: str) -> bool:
     if not os.path.exists(path):
         return False
     try:
-        obj = json.load(open(path, encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
     except (json.JSONDecodeError, OSError):
         return False
     meta = obj.get("metadata") or {}
@@ -385,7 +388,9 @@ def resultset_writer(
     pairs in doc_id order → one ``<doc_id>.tables.json`` per doc, and a
     ``(doc_id, status)`` frame in the same order.
 
-    Each file write is idempotent (tmp + rename). Docs without a row are
+    Every file, the metadata included, is published whole through
+    ``state/lineage.commit_file``, so a rerun rewrites the same bytes and
+    a killed writer leaves no truncated file. Docs without a row are
     skipped (writers/file.py:16-18); curated outputs are skipped unless
     ``force_update``."""
     target = os.path.join(output_dir, resultset_uuid)
@@ -395,8 +400,7 @@ def resultset_writer(
         meta = {"reader": reader, "uuid": resultset_uuid}
         if sources:
             meta["sources"] = list(sources)
-        with open(meta_path, "w", encoding="utf-8") as f:
-            json.dump(meta, f, ensure_ascii=False)
+        commit_file(meta_path, lambda f: f.write(json.dumps(meta, ensure_ascii=False).encode()))
 
     def write_doc(doc_id: str, tf: dict) -> str:
         path = os.path.join(target, f"{doc_id}.tables.json")
@@ -407,10 +411,8 @@ def resultset_writer(
         obj = tablesfile_to_json_obj(
             {"tables": tf["tables"], "citation": tf.get("citation")}
         )
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(obj, f, ensure_ascii=False, indent=2 if pretty else None)
-        os.replace(tmp, path)
+        text = json.dumps(obj, ensure_ascii=False, indent=2 if pretty else None)
+        commit_file(path, lambda f: f.write(text.encode()))
         return "written"
 
     def write_docs(pairs: Iterable[Tuple[str, dict]]) -> pd.DataFrame:

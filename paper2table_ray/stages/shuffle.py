@@ -71,15 +71,17 @@ def apply_fn_per_group(
     key_list: List[str],
     fn: Callable,
     batch_format: str = "pyarrow",
-) -> Union[pa.Table, pd.DataFrame]:
+) -> Union[pa.Table, pd.DataFrame, None]:
     """The in-task group-apply kernel of ``groupby_apply``: vectorized
     sort + run-boundary scan over the composite key, ``fn`` applied once
-    per full group. A lineage-bucketed store needs no exchange before it:
+    per full group. ``None`` when no group yields rows: a frame with no
+    columns would become a block whose schema has none of the output's.
+    A lineage-bucketed store needs no exchange before it:
     ``state/lineage.resumable_merge`` runs one task per partition file."""
     tbl = tbl.sort_by([(k, "ascending") for k in key_list])
     n = tbl.num_rows
     if n == 0:
-        return pd.DataFrame()
+        return None
     marks = np.zeros(n, dtype=bool)
     for k in key_list:
         arr = tbl.column(k).to_numpy(zero_copy_only=False)
@@ -100,7 +102,7 @@ def apply_fn_per_group(
         elif out.num_rows:
             outs.append(out)
     if not outs:
-        return pd.DataFrame()
+        return None
     if isinstance(outs[0], pd.DataFrame):
         return pd.concat(outs, ignore_index=True)
     return pa.concat_tables(outs)
@@ -143,7 +145,8 @@ def groupby_apply_table(
     Shape: stamp ``hash(keys) % num_shards`` → sort on the stamp with
     the boundaries ``1 .. num_shards - 1`` (one reduce block per shard)
     → ``table_fn`` once per non-empty shard block. An empty shard makes
-    no call."""
+    no call, and a ``None`` from ``table_fn`` yields no block; a typed
+    empty table still passes through."""
     key_list = [keys] if isinstance(keys, str) else list(keys)
     if num_shards is None:
         num_shards = default_num_shards()
@@ -156,7 +159,9 @@ def groupby_apply_table(
 
     def run_shard(shard_tbl: pa.Table) -> Iterator[Union[pa.Table, pd.DataFrame]]:
         if shard_tbl.num_rows:
-            yield table_fn(shard_tbl.drop_columns([_SHARD_COL]))
+            out = table_fn(shard_tbl.drop_columns([_SHARD_COL]))
+            if out is not None:
+                yield out
 
     # an empty boundary list makes Ray sample boundaries instead, so
     # width 1 gets a second range that no stamp reaches

@@ -10,10 +10,11 @@ lineage manifest checked before scheduling work**:
 - a restarted job reads ``_lineage/`` and drops completed partitions from
   the *input* (broadcast anti-join inside map_batches), so the expensive
   parse is skipped for finished work, not just the write;
-- each partition writes atomically (tmp file + ``os.replace``) and then its
-  lineage row ``(partition_id, stage, doc_count, row_count, wall_ms,
-  status)`` — a crash between the two re-runs just that partition,
-  overwriting the same deterministic filename (idempotent);
+- each partition commits its file and then its lineage row
+  ``(partition_id, stage, doc_count, row_count, wall_ms, status)``
+  through ``commit_file`` (writer-unique tmp file, fsync, ``os.replace``)
+  — a crash between the two re-runs just that partition, overwriting the
+  same deterministic filename (idempotent);
 - the final placement of rows into partition files is the shared
   exchange (``groupby_apply_table`` on ``partition_id``) at the cluster's
   width, one file per partition whatever the width — the one shuffle a
@@ -25,11 +26,13 @@ manifest logic keys Lance fragment commits (SURVEY.md §1.3).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import time
-from typing import List, Optional, Set
+import uuid
+from typing import BinaryIO, Callable, List, Optional, Set
 
 import pandas as pd
 import pyarrow as pa
@@ -41,16 +44,28 @@ import ray.data
 from ..stages.shuffle import apply_fn_per_group, groupby_apply_table
 
 
-def _write_lineage_json(lineage_dir: str, pid: int, rec: dict) -> None:
-    """Durable atomic lineage publish: close+fsync BEFORE the rename so a
-    crash can never expose a truncated file (json.dump on an unclosed
-    handle relies on CPython refcounting to flush — not a guarantee)."""
-    ltmp = os.path.join(lineage_dir, f"{pid:05d}.json.tmp")
-    with open(ltmp, "w") as f:
-        json.dump(rec, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(ltmp, os.path.join(lineage_dir, f"{pid:05d}.json"))
+LINEAGE_COLUMNS = ["partition_id", "stage", "doc_count", "row_count", "wall_ms", "status"]
+
+
+def commit_file(path: str, write_fn: Callable[[BinaryIO], object]) -> None:
+    """Publish ``path`` whole or not at all — the one commit step of every
+    checkpointed file. ``write_fn(f)`` writes to a binary handle on a tmp
+    file next to ``path`` whose name is unique to this writer, so a
+    retried Ray task never clobbers a live attempt; the tmp file is
+    flushed and fsynced BEFORE the ``os.replace`` onto ``path``, so a crash
+    can never expose a truncated file. If anything raises, the tmp file is
+    removed and the error re-raised; ``path`` keeps its old bytes."""
+    tmp = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            write_fn(f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def partition_of(doc_id: str, num_partitions: int) -> int:
@@ -109,6 +124,29 @@ class LineageSink:
                     out.append(json.load(f))
         return out
 
+    def commit_partition(self, pid: int, table: pa.Table, t0: float) -> dict:
+        """Publish ``part-{pid:05d}.parquet`` (``table``), then its lineage
+        row (``wall_ms`` counted from the caller's ``t0``); returns the
+        row. A run stopped between the two commits re-runs just this
+        partition, onto the same file name."""
+        commit_file(
+            os.path.join(self.output_dir, f"part-{pid:05d}.parquet"),
+            lambda f: pq.write_table(table, f),
+        )
+        rec = {
+            "partition_id": pid,
+            "stage": self.stage,
+            "doc_count": pc.count_distinct(table.column("doc_id"), mode="all").as_py(),
+            "row_count": table.num_rows,
+            "wall_ms": int((time.perf_counter() - t0) * 1000),
+            "status": "ok",
+        }
+        commit_file(
+            os.path.join(self.lineage_dir, f"{pid:05d}.json"),
+            lambda f: f.write(json.dumps(rec).encode()),
+        )
+        return rec
+
     # -- pipeline hooks ------------------------------------------------------
 
     def add_partition_column(self, ds: ray.data.Dataset, id_col: str = "doc_id"):
@@ -140,27 +178,13 @@ class LineageSink:
     def write(self, ds: ray.data.Dataset) -> pd.DataFrame:
         """Place rows into deterministic partition files + lineage rows.
         Returns the summary (one row per partition written)."""
-        output_dir, lineage_dir, stage = self.output_dir, self.lineage_dir, self.stage
-        os.makedirs(output_dir, exist_ok=True)
+        os.makedirs(self.output_dir, exist_ok=True)
 
         def write_partition(group: pa.Table) -> pd.DataFrame:
             t0 = time.perf_counter()
             pid = group.column("partition_id")[0].as_py()
-            final = os.path.join(output_dir, f"part-{pid:05d}.parquet")
-            tmp = final + ".tmp"
             body = group.drop_columns(["partition_id"])
-            pq.write_table(body, tmp)
-            os.replace(tmp, final)  # atomic on one filesystem
-            rec = {
-                "partition_id": pid,
-                "stage": stage,
-                "doc_count": pc.count_distinct(group.column("doc_id"), mode="all").as_py(),
-                "row_count": group.num_rows,
-                "wall_ms": int((time.perf_counter() - t0) * 1000),
-                "status": "ok",
-            }
-            _write_lineage_json(lineage_dir, pid, rec)
-            return pd.DataFrame([rec])
+            return pd.DataFrame([self.commit_partition(pid, body, t0)])
 
         # one file per partition_id at a fixed P (the CLI's --partitions)
         # is the resume contract; the width only sets the reduce tasks
@@ -171,8 +195,7 @@ class LineageSink:
             num_shards=write_width(self.num_partitions),
         ).to_pandas()
         if summaries.empty:  # typed, so an empty run still has its header
-            cols = ["partition_id", "stage", "doc_count", "row_count", "wall_ms", "status"]
-            return pd.DataFrame(columns=cols)
+            return pd.DataFrame(columns=LINEAGE_COLUMNS)
         return summaries.sort_values("partition_id", ignore_index=True)
 
 
@@ -230,7 +253,6 @@ def resumable_merge(
     cfg = config or MergeConfig()
     sink = LineageSink(output_dir, stage="merge")
     completed = sink.completed_partitions()
-    output_dir_, lineage_dir = sink.output_dir, sink.lineage_dir
 
     paths = sorted(
         name
@@ -243,21 +265,7 @@ def resumable_merge(
         t0 = time.perf_counter()
         tbl = pq.read_table(path)
         # whole-partition kernel: one decode + one encode per partition
-        merged = merge_cells_table(tbl, cfg)
-        final = os.path.join(output_dir_, f"part-{pid:05d}.parquet")
-        tmp = final + ".tmp"
-        pq.write_table(merged, tmp)
-        os.replace(tmp, final)
-        rec = {
-            "partition_id": pid,
-            "stage": "merge",
-            "doc_count": pc.count_distinct(merged.column("doc_id"), mode="all").as_py(),
-            "row_count": merged.num_rows,
-            "wall_ms": int((time.perf_counter() - t0) * 1000),
-            "status": "ok",
-        }
-        _write_lineage_json(lineage_dir, pid, rec)
-        return rec
+        return sink.commit_partition(pid, merge_cells_table(tbl, cfg), t0)
 
     refs, skipped = [], []
     for name in paths:
@@ -271,10 +279,6 @@ def resumable_merge(
 
     # summary rows only — a few dicts per partition, never data
     rows = skipped + list(ray.get(refs))
-    return (
-        pd.DataFrame(rows).sort_values("partition_id").reset_index(drop=True)
-        if rows
-        else pd.DataFrame(
-            columns=["partition_id", "stage", "status"]  # empty store
-        )
+    return pd.DataFrame(rows, columns=LINEAGE_COLUMNS).sort_values(
+        "partition_id", ignore_index=True
     )

@@ -368,6 +368,35 @@ class TestANN:
         key = lambda df: sorted(zip(df["id_a"], df["id_b"]))
         assert key(bc) == key(sj)
 
+    @pytest.mark.parametrize("second", [[0.9, 0.1, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    def test_two_vectors_on_the_shard_plan_keep_output_schema(self, force_shard_plan, second):
+        """Two vectors leave most candidate shards without a pair. Such a
+        shard yields no block; it used to yield a pandas frame with no
+        columns, which the exchanges after it carried to the output.
+        Every bundle and every block with rows carries the output
+        columns; the zero-row blocks left are Ray's own, for an empty
+        sort range or a task that yields nothing."""
+        cols = ["id_a", "id_b", "cosine"]
+        emb = ray.data.from_arrow(
+            pa.table(
+                {
+                    "vec_id": pa.array([0, 1], pa.int64()),
+                    "embedding": pa.array([[1.0, 0.0, 0.0, 0.0], second], pa.list_(pa.float64())),
+                }
+            )
+        )
+        force_shard_plan()
+        out = embedding_cosine_dedup_pairs(emb, threshold=0.5, n_bits=2, dim=4).materialize()
+        bundles = list(out.iter_internal_ref_bundles())
+        assert bundles and all(b.schema.names == cols for b in bundles)
+        for b in bundles:
+            for ref, meta in b.blocks:
+                block = ray.get(ref)
+                assert not isinstance(block, pd.DataFrame)
+                if meta.num_rows:
+                    assert block.column_names == cols
+        assert out.count() == (1 if second[0] else 0)
+
     def test_sign_lsh_deterministic(self):
         ix1 = SignLSHIndexer(4, n_bits=4, seed=7)
         ix2 = SignLSHIndexer(4, n_bits=4, seed=7)

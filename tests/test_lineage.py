@@ -1,5 +1,6 @@
 """Checkpointed partitioned output + resume (state/lineage.py)."""
 
+import io
 import json
 import os
 
@@ -237,6 +238,14 @@ class TestResumableMerge:
         for pid in pids[:2]:
             assert os.path.exists(os.path.join(out, f"part-{pid:05d}.parquet"))
 
+    def test_empty_store_summary_has_the_sink_columns(self, tmp_path):
+        from paper2table_ray.state.lineage import LINEAGE_COLUMNS, resumable_merge
+
+        store = tmp_path / "store"
+        store.mkdir()
+        summary = resumable_merge(str(store), str(tmp_path / "merged"))
+        assert summary.empty and list(summary.columns) == LINEAGE_COLUMNS
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestCuratePipeline:
@@ -336,3 +345,253 @@ class TestCuratePipeline:
         assert out["n_redactions"].iloc[0] == 2
         assert "<EMAIL>" in out["redacted"].iloc[0]
         assert "<NUM>" in out["redacted"].iloc[0]
+
+
+# --- the commit protocol (state/lineage.commit_file) --------------------------
+
+
+class _Torn(Exception):
+    """Stands in for a writer stopped mid-write."""
+
+
+def _torn(write_fn):
+    """A ``write_fn`` that writes the first half of ``write_fn``'s bytes,
+    then raises."""
+
+    def write(f):
+        buf = io.BytesIO()
+        write_fn(buf)
+        f.write(buf.getvalue()[: len(buf.getvalue()) // 2])
+        raise _Torn
+
+    return write
+
+
+@pytest.mark.parametrize("existing", [b"old bytes", None], ids=["replace", "create"])
+def test_commit_file_raising_write_keeps_path(tmp_path, existing):
+    path = tmp_path / "out.json"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(_Torn):
+        lineage.commit_file(str(path), _torn(lambda f: f.write(b"new bytes, longer")))
+    if existing is None:
+        assert os.listdir(tmp_path) == []
+    else:
+        assert os.listdir(tmp_path) == ["out.json"]
+        assert path.read_bytes() == existing
+    lineage.commit_file(str(path), lambda f: f.write(b"new"))
+    assert os.listdir(tmp_path) == ["out.json"]
+    assert path.read_bytes() == b"new"
+
+
+def test_killed_metadata_write_leaves_no_truncated_file(monkeypatch, tmp_path):
+    """A writer stopped inside the ``tables.metadata.json`` write leaves no
+    file at all, so the next run writes it whole (an in-place dump left a
+    truncated file behind the ``os.path.exists`` guard)."""
+    from paper2table_ray.sources import tablesfile_json as tfj
+
+    sources = [{"uuid": "run-a", "reader": "é"}]
+    monkeypatch.setattr(
+        tfj, "commit_file", lambda path, fn: lineage.commit_file(path, _torn(fn))
+    )
+    with pytest.raises(_Torn):
+        tfj.resultset_writer(str(tmp_path), "merged-x", sources=sources)
+    assert os.listdir(tmp_path / "merged-x") == []
+    assert tfj.load_metadata(str(tmp_path / "merged-x")) is None
+
+    monkeypatch.undo()
+    tfj.resultset_writer(str(tmp_path), "merged-x", sources=sources)
+    assert os.listdir(tmp_path / "merged-x") == ["tables.metadata.json"]
+    assert tfj.load_metadata(str(tmp_path / "merged-x")) == {
+        "reader": "merged", "uuid": "merged-x", "sources": sources,
+    }
+
+
+def test_every_commit_site_fsyncs_before_replace(monkeypatch, tmp_path):
+    """Each checkpointed file is fsynced as its tmp file, then replaced
+    onto its name. The Ray-side writers run in-process here: the sink's
+    exchange is one call over the whole table, and ``resumable_merge``'s
+    task runs inline."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from paper2table_ray.pipelines import oracle_dumps
+    from paper2table_ray.pipelines.extract import plan_mappings_ds
+    from paper2table_ray.schema import table_to_doc_tablesfiles
+    from paper2table_ray.sources.resultsets import synth_resultsets_batch
+    from paper2table_ray.sources.synth import synth_docs_batch
+    from paper2table_ray.sources.tablesfile_json import resultset_writer
+    from paper2table_ray.state import scratch
+
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.realpath(src), os.path.realpath(dst)))
+        real_replace(src, dst)
+
+    class _Inline:
+        """``groupby_apply_table``, ``ray.remote`` and ``Dataset.map_batches``
+        stand-in: runs the function here."""
+
+        def __init__(self, fn):
+            self.fn = fn
+
+        def remote(self, *args):
+            return self.fn(*args)
+
+        def to_pandas(self):
+            return self.fn
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(
+        lineage, "groupby_apply_table",
+        lambda ds, key, table_fn, num_shards: _Inline(table_fn(ds)),
+    )
+    monkeypatch.setattr(lineage, "write_width", lambda num_partitions: 1)
+    monkeypatch.setattr(ray, "remote", _Inline)
+    monkeypatch.setattr(ray, "get", lambda refs: refs)
+    monkeypatch.setenv(scratch.ENV_VAR, str(tmp_path / "scratch"))
+
+    cells = synth_resultsets_batch(pa.table({"doc_id": pa.array(range(6), pa.int64())}))
+    store, merged = tmp_path / "store", tmp_path / "merged"
+    sink = LineageSink(str(store), num_partitions=3, stage="cells")
+    pids = partition_ids(cells.column("doc_id"), 3)
+    sink.write(cells.append_column("partition_id", pids))
+    lineage.resumable_merge(str(store), str(merged))
+
+    write = resultset_writer(str(tmp_path / "rs"), "merged-x")
+    written = write(
+        (doc_id, next(iter(trees.values()))) for doc_id, trees in table_to_doc_tablesfiles(cells)
+    )
+
+    docs = synth_docs_batch(pq.read_table(f"{SF}/documents.parquet").slice(0, 8))
+
+    class _Capture:
+        def map_batches(self, fn, **kwargs):
+            return fn
+
+    plan_mappings_ds(_Capture(), cache_dir=str(tmp_path / "maps"))(docs)
+    oracle_dumps.ensure_simhash_dump(SF)
+
+    replaced = [e for e in events if e[0] == "replace"]
+    for i, e in enumerate(events):
+        if e[0] == "replace":
+            assert events[i - 1] == ("fsync", e[1]), e
+    published = {os.path.relpath(dst, os.path.realpath(tmp_path)) for _, _, dst in replaced}
+    for pid in set(pids.to_pylist()):
+        for out in ("store", "merged"):
+            assert f"{out}/part-{pid:05d}.parquet" in published
+            assert f"{out}/_lineage/{pid:05d}.json" in published
+    assert (written["status"] == "written").sum() == 6
+    assert {f"rs/merged-x/{d}.tables.json" for d in written["doc_id"]} < published
+    assert "rs/merged-x/tables.metadata.json" in published
+    assert any(p.startswith("maps/") and p.endswith(".mapping.json") for p in published)
+    assert any(p.startswith("scratch/p2t_oracle_dumps/") for p in published)
+    assert len(published) == len(replaced)
+
+
+_KILL_SCRIPT = '''
+import os
+import sys
+
+import pyarrow.parquet as pq
+import ray
+
+root, sf = sys.argv[1], sys.argv[2]
+
+
+def die_at_first_lineage_commit():
+    """Worker setup hook: in an output dir named ``killed*``, the first
+    lineage commit (its part file already replaced) writes a marker
+    beside the dir and kills the worker."""
+    from paper2table_ray.state import lineage
+
+    commit = lineage.commit_file
+
+    def commit_or_die(path, write_fn):
+        lineage_dir, name = os.path.split(path)
+        out = os.path.dirname(lineage_dir)
+        if os.path.basename(lineage_dir) == "_lineage" and os.path.basename(out).startswith("killed"):
+            try:
+                fd = os.open(out + ".marker", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                pass
+            else:
+                part = os.path.join(out, "part-" + name.replace(".json", ".parquet"))
+                os.write(fd, str(os.path.exists(part)).encode())
+                os.close(fd)
+                os._exit(1)
+        commit(path, write_fn)
+
+    lineage.commit_file = commit_or_die
+
+
+ray.init(
+    address="local",
+    num_cpus=2,
+    include_dashboard=False,
+    logging_level="ERROR",
+    runtime_env={"worker_process_setup_hook": die_at_first_lineage_commit},
+)
+ray.data.DataContext.get_current().enable_progress_bars = False
+
+from paper2table_ray.sources.resultsets import synth_resultsets_batch
+from paper2table_ray.state.lineage import LineageSink, resumable_extract, resumable_merge
+
+for run in ("clean", "killed"):
+    resumable_extract(sf, os.path.join(root, run + "_extract"), num_partitions=8)
+
+cells = synth_resultsets_batch(pq.read_table(sf + "/documents.parquet", columns=["doc_id"]).slice(0, 30))
+store = LineageSink(os.path.join(root, "store"), num_partitions=6, stage="cells")
+store.write(store.add_partition_column(ray.data.from_arrow(cells)))
+for run in ("clean", "killed"):
+    resumable_merge(store.output_dir, os.path.join(root, run + "_merge"))
+ray.shutdown()
+'''
+
+
+def test_worker_killed_between_part_and_lineage_commit_retries_to_clean_run(tmp_path):
+    """A worker killed after a part file's commit and before its lineage
+    commit: Ray retries the task (Ray Data map tasks retry a dead worker
+    without limit; ``resumable_merge``'s task keeps Ray's default
+    retries), and the output equals a clean run's, with no tmp file."""
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "kill_run.py"
+    script.write_text(_KILL_SCRIPT)
+    root = tmp_path / "runs"
+    root.mkdir()
+    # the workers import the package before the driver's sys.path reaches them
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [repo, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(script), str(root), SF],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+    def outputs(out):
+        files = sorted(n for n in os.listdir(out) if n.endswith(".parquet"))
+        rows = {f: sorted(pq.read_table(os.path.join(out, f)).to_pylist(), key=repr) for f in files}
+        counts = sorted(
+            (r["partition_id"], r["doc_count"], r["row_count"], r["status"])
+            for r in LineageSink(out).lineage_records()
+        )
+        return rows, counts
+
+    for stage in ("extract", "merge"):
+        killed = root / f"killed_{stage}"
+        assert (root / f"killed_{stage}.marker").read_text() == "True"
+        clean_rows, clean_counts = outputs(root / f"clean_{stage}")
+        assert len(clean_rows) > 3
+        assert outputs(killed) == (clean_rows, clean_counts)
+        assert [n for _, _, names in os.walk(killed) for n in names if n.endswith(".tmp")] == []

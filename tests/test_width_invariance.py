@@ -265,3 +265,37 @@ def test_lineage_sink_and_resumable_merge(ray_session, monkeypatch, tmp_path):
     assert len(results[0][0]) > 3
     for got in results[1:]:
         assert got == results[0]
+
+
+def test_run_tablemerge(ray_session, monkeypatch, tmp_path, synth_resultset_dirs):
+    """``run_tablemerge`` at exchange widths 1, 3 and None writes the same
+    bytes to every ``.tables.json`` and ``tables.metadata.json``, and the
+    same ``(doc_id, status)`` summary."""
+    import os
+
+    from paper2table_ray.pipelines.tablemerge import run_tablemerge
+    from paper2table_ray.stages import shuffle
+
+    dirs = synth_resultset_dirs()
+    real = shuffle.default_num_shards
+
+    def run(w):
+        monkeypatch.setattr(
+            shuffle, "default_num_shards", real if w is None else (lambda: w)
+        )
+        out = tmp_path / f"merged_w{w}"
+        summary = run_tablemerge(dirs, str(out))
+        (target,) = os.listdir(out)
+        files = {
+            name: (out / target / name).read_bytes()
+            for name in sorted(os.listdir(out / target))
+            if name.endswith((".tables.json", "tables.metadata.json"))
+        }
+        return files, sorted(summary.itertuples(index=False, name=None))
+
+    results = [run(w) for w in WIDTHS]
+    files, summary = results[0]
+    assert "tables.metadata.json" in files and len(files) > 3
+    assert sum(status == "written" for _, status in summary) == len(files) - 1
+    for w, got in zip(WIDTHS[1:], results[1:]):
+        assert got == results[0], f"num_shards={w} differs from num_shards={WIDTHS[0]}"
